@@ -115,7 +115,6 @@ def _boot_once(
             "--port", "0",
             "--cache-dir", cache_dir,
             "--max-batch", "4",
-            "--max-wait-ms", "25",
             "--max-inflight", str(max_inflight),
             "--shed-priority", str(shed_priority),
         ],

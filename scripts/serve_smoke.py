@@ -182,7 +182,7 @@ def replicated_phase(reference: dict) -> None:
     server, url, logs = start_server(
         [
             "--replicas", "2", "--cache-dir", cache_dir,
-            "--max-batch", "4", "--max-wait-ms", "25",
+            "--max-batch", "4",
         ],
         ROUTER_PORT,
         "smoke/replicas",
@@ -259,7 +259,7 @@ def replicated_phase(reference: dict) -> None:
 
 def main() -> int:
     server, url, logs = start_server(
-        ["--max-batch", "4", "--max-wait-ms", "50"], PORT, "smoke"
+        ["--max-batch", "4"], PORT, "smoke"
     )
     try:
         print(f"[smoke] server is up at {url}")

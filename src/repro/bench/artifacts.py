@@ -169,7 +169,6 @@ def serve_artifact(
     elapsed: float,
     jobs: int,
     max_batch: int,
-    max_wait_ms: float,
     counters: Mapping[str, int],
     batch_sizes: Sequence[int],
 ) -> Dict[str, Any]:
@@ -180,7 +179,7 @@ def serve_artifact(
     artifact reduces them to throughput and nearest-rank latency
     percentiles so serving regressions show up as numbers, not vibes.
     The gap between the ``latency_ms`` and ``solve_ms`` percentiles is
-    the serving overhead (queueing + batching window + dispatch).
+    the serving overhead (queueing behind a running batch + dispatch).
 
     ``records`` is a bounded window (the service keeps the most recent
     few thousand), so the headline ``num_jobs``/``throughput_jobs_per_s``
@@ -201,7 +200,6 @@ def serve_artifact(
         "name": "serve",
         "jobs": jobs,
         "max_batch": max_batch,
-        "max_wait_ms": max_wait_ms,
         "elapsed_seconds": elapsed,
         "num_jobs": completed,
         "throughput_jobs_per_s": (completed / elapsed) if elapsed > 0 else None,

@@ -476,8 +476,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.max_batch < 1:
         raise CliError("--max-batch must be at least 1")
-    if args.max_wait_ms < 0:
-        raise CliError("--max-wait-ms must be >= 0")
     if args.cache_entries is not None and args.cache_entries < 1:
         raise CliError("--cache-entries must be at least 1")
     if args.memory_entries < 1:
@@ -489,7 +487,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = MappingService(
         jobs=_resolve_jobs(args.jobs),
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         cache_dir=args.cache_dir,
         memory_entries=args.memory_entries,
         disk_entries=args.cache_entries,
@@ -515,7 +512,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"serving mapping jobs on {server.url} "
             f"({service.engine.jobs} worker"
             f"{'s' if service.engine.jobs != 1 else ''}, "
-            f"max_batch={args.max_batch}, max_wait={args.max_wait_ms:.0f}ms)",
+            f"max_batch={args.max_batch})",
             flush=True,
         )
         await server.serve_forever()
@@ -556,7 +553,6 @@ def _serve_replicated(args: argparse.Namespace) -> int:
         cache_dir=cache_dir,
         jobs=_resolve_jobs(args.jobs),
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         time_limit=args.time_limit,
         host=args.host,
     )
@@ -964,9 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--jobs", type=int, default=1,
                        help="engine worker processes (1 = in-process)")
     serve.add_argument("--max-batch", type=int, default=4,
-                       help="most requests coalesced into one engine batch")
-    serve.add_argument("--max-wait-ms", type=float, default=25.0,
-                       help="batching window after the first request (ms)")
+                       help="most queued requests shipped as one engine batch")
     serve.add_argument("--cache-dir",
                        help="on-disk result cache shared with 'repro batch'")
     serve.add_argument("--cache-entries", type=int, default=None,

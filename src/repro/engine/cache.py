@@ -62,8 +62,20 @@ def canonical_hash(document: Any) -> str:
     return hashlib.sha256(canonical_json(document).encode("ascii")).hexdigest()
 
 
+#: Leaf types returned as they are, without walking.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _strip_nondeterministic(value: Any) -> Any:
-    if isinstance(value, Mapping):
+    # Exact-type dispatch first: result documents are plain JSON trees,
+    # and an ``isinstance`` check against the ``Mapping`` ABC on every
+    # leaf costs more than the rest of the walk.
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is list or kind is tuple:
+        return [_strip_nondeterministic(v) for v in value]
+    if kind is dict or isinstance(value, Mapping):
         return {
             k: _strip_nondeterministic(v)
             for k, v in value.items()

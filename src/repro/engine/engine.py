@@ -155,7 +155,9 @@ def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
                 gap_limit=payload.get("gap_limit"),
             )
             result = mapper.map(design, context=context)
-            artifacts = mapper.global_mapper.build_model(design)
+            # An exact solve memoized the full model, so its size costs no
+            # rebuild; a fast-lane answer builds it here, once.
+            artifacts = mapper.global_mapper.full_model_artifacts(design)
             document["objective"] = result.global_mapping.objective
             document["solver_status"] = result.global_mapping.solver_status
             document["assignment"] = dict(result.global_mapping.assignment)
@@ -241,7 +243,7 @@ class MappingEngine:
         shipped payload) are **coalesced**: one representative is solved
         and its result is replicated to the duplicates, which come back
         flagged ``deduped``.  The serving layer leans on this — a
-        micro-batch of concurrent client requests often contains the same
+        batch of concurrent client requests often contains the same
         mapping more than once — and it is semantically invisible because
         equal payloads produce equal results by construction.
         """

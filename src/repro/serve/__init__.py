@@ -2,7 +2,8 @@
 
 ``repro serve`` turns the one-shot mapping pipeline into a long-lived
 service: submissions arrive as v1 wire documents over HTTP
-(:mod:`repro.io.serve`), coalesce into micro-batches, run on a
+(:mod:`repro.io.serve`), ship to the engine as soon as it is idle
+(whatever piled up behind a running batch ships together), run on a
 persistent :class:`~repro.engine.MappingEngine` worker pool, and come
 back with the same fingerprints the CLI computes — while duplicate
 requests (in flight or repeated) are answered from one solve via
@@ -16,7 +17,6 @@ submissions across them with admission control, backpressure, load
 shedding and automatic re-hash when a replica dies.
 """
 
-from .batcher import MicroBatcher
 from .client import ServeClient, ServeClientError
 from .protocol import HttpRequest, ProtocolError
 from .queue import JobQueue, QueuedTicket
@@ -34,7 +34,6 @@ from .store import ResultStore, WarmStateStore
 __all__ = [
     "JobQueue",
     "QueuedTicket",
-    "MicroBatcher",
     "ResultStore",
     "WarmStateStore",
     "structural_signature",

@@ -3,13 +3,19 @@
 The :class:`JobQueue` is the waiting room between the HTTP front end and
 the engine dispatcher: submissions enter as :class:`QueuedTicket` records
 (one per *unique* mapping job — duplicates attach as followers at the
-service layer), and the dispatcher's micro-batcher pops them back out in
-priority order.
+service layer), and the dispatcher pops them back out in priority order,
+one backlog batch at a time (:meth:`JobQueue.get_batch`).
 
 Design constraints:
 
 * **Single event loop.**  ``put``/``cancel`` are plain synchronous calls
-  (they run on the loop that owns the service); only ``get`` awaits.
+  (they run on the loop that owns the service); only ``get`` and
+  ``get_batch`` await.
+* **Backlog batching, no timer.**  ``get_batch`` waits for the first
+  ticket, then takes whatever else is already queued (up to its limit)
+  and returns at once.  The dispatcher only asks while the engine is
+  idle, so a lone request ships the moment it arrives, and requests that
+  pile up behind a running batch ship together as the next one.
 * **Priorities with FIFO ties.**  Higher ``priority`` pops first; equal
   priorities keep submission order via a monotonically increasing
   sequence number, so two equal-priority clients are served fairly.
@@ -115,6 +121,21 @@ class JobQueue:
                 return ticket
             self._wakeup.clear()
             await self._wakeup.wait()
+
+    async def get_batch(self, limit: int) -> List[QueuedTicket]:
+        """Wait for the first ticket, then add up to ``limit - 1`` queued ones.
+
+        Never waits for stragglers: the batch is the backlog at the moment
+        the first ticket is available.  Like :meth:`get`, it may contain
+        cancelled or expired tickets for the caller to discard.
+        """
+        batch = [await self.get()]
+        while len(batch) < limit:
+            ticket = self.get_nowait()
+            if ticket is None:
+                break
+            batch.append(ticket)
+        return batch
 
     def get_nowait(self) -> Optional[QueuedTicket]:
         """Pop the next ticket without waiting; ``None`` when empty."""

@@ -1,22 +1,28 @@
-"""The mapping service: queue, batcher, store and engine glued together.
+"""The mapping service: queue, store and engine glued together.
 
 :class:`MappingService` is the transport-free core of ``repro serve`` —
 the HTTP server (:mod:`repro.serve.server`) is a thin routing shell over
 it, and the tests drive it directly.  One service owns:
 
 * a :class:`~repro.serve.queue.JobQueue` of pending submissions,
-* a :class:`~repro.serve.batcher.MicroBatcher` that coalesces bursts
-  into engine batches (``max_batch`` / ``max_wait_ms``),
 * a :class:`~repro.serve.store.ResultStore` memoizing finished results
   by canonical cache key (in-memory LRU + the engine's on-disk cache),
 * one :class:`~repro.engine.MappingEngine` whose persistent worker pool
   and warm state survive across requests, driven from a single
   dispatcher thread so the event loop never blocks on a solve.
 
+**Dispatch when idle.**  The dispatcher keeps one engine batch in flight
+and asks the queue for the next one only after it finished, so the
+engine is idle whenever a batch is collected.  A batch is therefore just
+the backlog (up to ``max_batch`` tickets, priority order): a lone request
+ships at once and pays one thread hop over its solve, while requests
+that arrive during a running batch ride together in the next one.  No
+timer ever holds a ticket back.
+
 Deduplication happens at two levels: an identical submission arriving
 while its twin is queued or running attaches to the same ticket
 (**in-flight dedupe** — one solve, many answers), and identical jobs
-inside one micro-batch are coalesced by the engine itself.  Results are
+inside one batch are coalesced by the engine itself.  Results are
 fingerprint-identical to the equivalent ``repro map``/``repro batch``
 run because every path funnels into the same ``execute_payload``.
 
@@ -52,7 +58,6 @@ from ..io.serve import (
     JobStatus,
     JobSubmission,
 )
-from .batcher import MicroBatcher
 from .queue import JobQueue, QueuedTicket
 from .signature import (
     signatures_compatible,
@@ -75,9 +80,24 @@ DEFAULT_RECORD_ENTRIES = 1024
 #: Per-job latency records kept for the serve artifact's percentiles.
 _METRICS_WINDOW = 4096
 
+#: ``/healthz`` latency stages: record field of each stage, and whether
+#: cache hits (answered without a solve) count towards it.
+_LATENCY_STAGES = (
+    ("queue", "queue_ms", False),
+    ("engine", "engine_ms", False),
+    ("solve", "solve_ms", False),
+    ("end_to_end", "latency_ms", True),
+)
+
 
 class ServeError(Exception):
     """A submission the service refuses (bad board/design/solver/mode)."""
+
+
+def _elapsed_ms(start: Optional[float], end: Optional[float]) -> Optional[float]:
+    if start is None or end is None:
+        return None
+    return (end - start) * 1000.0
 
 
 def _document_gap(document: Optional[Dict[str, Any]]) -> Optional[float]:
@@ -100,7 +120,6 @@ class MappingService:
         self,
         jobs: int = 1,
         max_batch: int = 4,
-        max_wait_ms: float = 25.0,
         cache_dir: Optional[str] = None,
         memory_entries: int = 256,
         disk_entries: Optional[int] = None,
@@ -112,6 +131,8 @@ class MappingService:
         instance_name: str = "",
         warm_sharing: bool = False,
     ) -> None:
+        if max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
         if engine is None:
             # The dispatcher runs the engine from a worker thread; forking
             # a multi-threaded process is deprecated (3.12+) and unsafe,
@@ -133,7 +154,7 @@ class MappingService:
                 raise ValueError("disk_entries must be >= 1 (or None)")
             self.engine.cache.max_entries = disk_entries
         self.queue = JobQueue()
-        self.batcher = MicroBatcher(self.queue, max_batch, max_wait_ms)
+        self.max_batch = max_batch
         self.store = ResultStore(memory_entries=memory_entries, disk=engine.cache)
         self.record_entries = max(1, record_entries)
         #: This replica's name in a sharded deployment (stamps warm-state
@@ -444,13 +465,13 @@ class MappingService:
             details={
                 "instance": self.instance,
                 "mp_context": self.engine.mp_context,
-                "max_batch": self.batcher.max_batch,
-                "max_wait_ms": self.batcher.max_wait_ms,
+                "max_batch": self.max_batch,
                 "batches": {
                     "count": self.counters["batches"],
                     "mean_size": (sum(sizes) / len(sizes)) if sizes else None,
                     "max_size": max(sizes) if sizes else None,
                 },
+                "latency": self._latency_stages(),
                 "records": len(self._records),
             },
         )
@@ -463,13 +484,32 @@ class MappingService:
             records=list(self.job_records),
             elapsed=self.uptime_seconds,
             jobs=self.engine.jobs,
-            max_batch=self.batcher.max_batch,
-            max_wait_ms=self.batcher.max_wait_ms,
+            max_batch=self.max_batch,
             counters=dict(self.counters),
             batch_sizes=list(self.batch_sizes),
         )
 
     # ------------------------------------------------------------- internals
+    def _latency_stages(self) -> Dict[str, Dict[str, Optional[float]]]:
+        """Percentiles (ms) of each serving stage over the ``job_records`` window.
+
+        ``queue`` is submission to dispatch, ``engine`` dispatch to
+        finish, ``solve`` the result document's own ``wall_time`` and
+        ``end_to_end`` submission to finish.  Cache hits are answered
+        without a solve, so they only count end to end.
+        """
+        from ..bench.artifacts import latency_percentiles
+
+        records = list(self.job_records)
+        return {
+            stage: latency_percentiles([
+                r[field]
+                for r in records
+                if r.get(field) is not None and (with_hits or not r["cache_hit"])
+            ])
+            for stage, field, with_hits in _LATENCY_STAGES
+        }
+
     def _build_job(self, submission: JobSubmission) -> MappingJob:
         try:
             board = board_from_dict(submission.board)
@@ -557,7 +597,7 @@ class MappingService:
     async def _dispatch_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            tickets = await self.batcher.collect()
+            tickets = await self.queue.get_batch(self.max_batch)
             live = self._admit(tickets)
             if not live:
                 continue
@@ -735,6 +775,8 @@ class MappingService:
                     "label": record.label,
                     "status": record.result_status,
                     "latency_ms": record.latency_ms,
+                    "queue_ms": _elapsed_ms(record.submitted_at, record.started_at),
+                    "engine_ms": _elapsed_ms(record.started_at, record.finished_at),
                     "solve_ms": (
                         float(document.get("wall_time", 0.0)) * 1000.0
                         if document
@@ -772,7 +814,6 @@ class ReplicaSupervisor:
         cache_dir: str,
         jobs: int = 1,
         max_batch: int = 4,
-        max_wait_ms: float = 25.0,
         time_limit: Optional[float] = None,
         host: str = "127.0.0.1",
         boot_timeout: float = 60.0,
@@ -784,7 +825,6 @@ class ReplicaSupervisor:
         self.cache_dir = cache_dir
         self.jobs = jobs
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.time_limit = time_limit
         self.host = host
         self.boot_timeout = boot_timeout
@@ -811,8 +851,6 @@ class ReplicaSupervisor:
             str(self.jobs),
             "--max-batch",
             str(self.max_batch),
-            "--max-wait-ms",
-            str(self.max_wait_ms),
             "--instance-name",
             name,
         ]

@@ -84,7 +84,7 @@ class TestServeArtifact:
 
         artifact = serve_artifact(
             records=self.records(), elapsed=2.0, jobs=1, max_batch=4,
-            max_wait_ms=25.0, counters={"submitted": 3}, batch_sizes=[2, 1],
+            counters={"submitted": 3}, batch_sizes=[2, 1],
         )
         assert artifact["kind"] == "bench_artifact"
         assert artifact["name"] == "serve"
@@ -104,7 +104,7 @@ class TestServeArtifact:
 
         artifact = serve_artifact(
             records=self.records(), elapsed=10.0, jobs=1, max_batch=4,
-            max_wait_ms=25.0, counters={"completed": 50}, batch_sizes=[],
+            counters={"completed": 50}, batch_sizes=[],
         )
         assert artifact["num_jobs"] == 50
         assert artifact["throughput_jobs_per_s"] == 5.0
@@ -115,8 +115,8 @@ class TestServeArtifact:
         from repro.bench import serve_artifact
 
         artifact = serve_artifact(
-            records=[], elapsed=0.0, jobs=1, max_batch=1, max_wait_ms=0.0,
-            counters={}, batch_sizes=[],
+            records=[], elapsed=0.0, jobs=1, max_batch=1, counters={},
+            batch_sizes=[],
         )
         assert artifact["throughput_jobs_per_s"] is None
         assert artifact["latency_ms"]["p50"] is None

@@ -5,9 +5,38 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from types import MappingProxyType
+from typing import Mapping
+
+import pytest
+
+from repro.bench.designpoints import SCALED_DESIGN_POINTS
+from repro.engine import (
+    MappingJob,
+    ResultCache,
+    canonical_hash,
+    canonical_json,
+    execute_payload,
+    result_fingerprint,
+)
+from repro.engine.cache import _NONDETERMINISTIC_KEYS
 
 
-from repro.engine import ResultCache, canonical_hash, canonical_json, result_fingerprint
+def reference_fingerprint(document):
+    """The original ``isinstance(Mapping)`` strip, kept as the oracle."""
+
+    def strip(value):
+        if isinstance(value, Mapping):
+            return {
+                k: strip(v)
+                for k, v in value.items()
+                if k not in _NONDETERMINISTIC_KEYS
+            }
+        if isinstance(value, (list, tuple)):
+            return [strip(v) for v in value]
+        return value
+
+    return None if document is None else canonical_hash(strip(document))
 
 
 class TestCanonicalHash:
@@ -52,6 +81,30 @@ class TestResultFingerprint:
 
     def test_none_document_has_no_fingerprint(self):
         assert result_fingerprint(None) is None
+
+    def test_matches_the_mapping_walk_on_non_dict_containers(self):
+        document = {
+            "proxy": MappingProxyType({"wall_time": 3.0, "banks": ("a", "b")}),
+            "pairs": (("x", 1), ["y", 2.5, None, True]),
+            "solve_stats": {"nodes": 4},
+            "nested": [MappingProxyType({"solver_stats": {}, "keep": 1})],
+        }
+        assert result_fingerprint(document) == reference_fingerprint(document)
+        assert result_fingerprint(document) == result_fingerprint(
+            {"proxy": {"banks": ["a", "b"]}, "pairs": [["x", 1], ["y", 2.5, None, True]],
+             "nested": [{"keep": 1}]}
+        )
+
+    @pytest.mark.parametrize("mode", ["pipeline", "fast", "complete"])
+    def test_matches_the_mapping_walk_on_every_table3_point(self, mode):
+        for point in SCALED_DESIGN_POINTS:
+            design, board = point.build()
+            job = MappingJob(board=board, design=design, mode=mode)
+            document = execute_payload(job.to_payload())
+            assert document["result"] is not None, point.label
+            assert document["fingerprint"] == reference_fingerprint(
+                document["result"]
+            ), point.label
 
 
 class TestResultCache:

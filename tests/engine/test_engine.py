@@ -181,6 +181,35 @@ class TestExecutePayload:
         assert document["wall_time"] < 30.0
 
 
+    def test_exact_job_builds_the_global_model_once(self, monkeypatch):
+        from repro.core.global_mapper import GlobalMapper
+
+        calls = []
+        build_model = GlobalMapper.build_model
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return build_model(self, *args, **kwargs)
+
+        monkeypatch.setattr(GlobalMapper, "build_model", counting)
+        job = MappingJob(board=virtex_board("XCV1000"), design=fir_filter_design())
+        document = execute_payload(job.to_payload())
+        assert document["status"] == STATUS_OK
+        assert len(calls) == 1  # the solve's model also reports the size
+
+    @pytest.mark.parametrize("mode", ["pipeline", "fast"])
+    def test_model_size_matches_a_fresh_build(self, mode):
+        board, design = virtex_board("XCV1000"), fft_design()
+        document = execute_payload(
+            MappingJob(board=board, design=design, mode=mode).to_payload()
+        )
+        model = MemoryMapper(board).global_mapper.build_model(design).model
+        assert document["model_size"] == {
+            "variables": model.num_variables,
+            "constraints": model.num_constraints,
+        }
+
+
 class TestInBatchDedupe:
     def test_duplicate_jobs_in_one_batch_solve_once(self, monkeypatch):
         import repro.engine.engine as engine_module

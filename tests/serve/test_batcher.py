@@ -1,12 +1,10 @@
-"""Unit tests of micro-batch coalescing (max_batch / max_wait_ms)."""
+"""Unit tests of backlog batching (``JobQueue.get_batch``)."""
 
 from __future__ import annotations
 
 import asyncio
 
-import pytest
-
-from repro.serve import JobQueue, MicroBatcher, QueuedTicket
+from repro.serve import JobQueue, QueuedTicket
 
 
 def ticket(job_id: str, priority: int = 0) -> QueuedTicket:
@@ -15,8 +13,8 @@ def ticket(job_id: str, priority: int = 0) -> QueuedTicket:
     )
 
 
-def collect(batcher: MicroBatcher):
-    return asyncio.run(asyncio.wait_for(batcher.collect(), timeout=5.0))
+def collect(queue: JobQueue, limit: int):
+    return asyncio.run(asyncio.wait_for(queue.get_batch(limit), timeout=5.0))
 
 
 class TestCoalescing:
@@ -24,67 +22,36 @@ class TestCoalescing:
         queue = JobQueue()
         for name in ["a", "b", "c"]:
             queue.put(ticket(name))
-        batch = collect(MicroBatcher(queue, max_batch=8, max_wait_ms=0))
+        batch = collect(queue, limit=8)
         assert [t.job_id for t in batch] == ["a", "b", "c"]
 
     def test_max_batch_caps_one_collection(self):
         queue = JobQueue()
         for index in range(5):
             queue.put(ticket(f"t{index}"))
-        batcher = MicroBatcher(queue, max_batch=2, max_wait_ms=0)
-        assert len(collect(batcher)) == 2
-        assert len(collect(batcher)) == 2
-        assert len(collect(batcher)) == 1
+        assert len(collect(queue, limit=2)) == 2
+        assert len(collect(queue, limit=2)) == 2
+        assert len(collect(queue, limit=2)) == 1
 
     def test_batch_preserves_priority_order(self):
         queue = JobQueue()
         queue.put(ticket("low", priority=0))
         queue.put(ticket("high", priority=9))
-        batch = collect(MicroBatcher(queue, max_batch=4, max_wait_ms=0))
+        batch = collect(queue, limit=4)
         assert [t.job_id for t in batch] == ["high", "low"]
 
     def test_waits_for_the_first_ticket(self):
         async def scenario():
             queue = JobQueue()
-            batcher = MicroBatcher(queue, max_batch=4, max_wait_ms=0)
 
             async def feed():
                 await asyncio.sleep(0.02)
                 queue.put(ticket("first"))
 
             feeder = asyncio.ensure_future(feed())
-            batch = await asyncio.wait_for(batcher.collect(), timeout=2.0)
+            batch = await asyncio.wait_for(queue.get_batch(4), timeout=2.0)
             await feeder
             return batch
 
         batch = asyncio.run(scenario())
         assert [t.job_id for t in batch] == ["first"]
-
-    def test_window_picks_up_a_straggler(self):
-        async def scenario():
-            queue = JobQueue()
-            batcher = MicroBatcher(queue, max_batch=4, max_wait_ms=500)
-            queue.put(ticket("head"))
-
-            async def feed():
-                await asyncio.sleep(0.02)
-                queue.put(ticket("straggler"))
-
-            feeder = asyncio.ensure_future(feed())
-            batch = await asyncio.wait_for(batcher.collect(), timeout=5.0)
-            await feeder
-            return batch
-
-        batch = asyncio.run(scenario())
-        assert [t.job_id for t in batch] == ["head", "straggler"]
-
-    def test_window_closes_without_stragglers(self):
-        queue = JobQueue()
-        queue.put(ticket("only"))
-        batch = collect(MicroBatcher(queue, max_batch=4, max_wait_ms=10))
-        assert [t.job_id for t in batch] == ["only"]
-
-
-def test_rejects_negative_wait():
-    with pytest.raises(ValueError):
-        MicroBatcher(JobQueue(), max_batch=1, max_wait_ms=-1)

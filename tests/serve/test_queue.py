@@ -163,7 +163,7 @@ class TestTicketBookkeeping:
 
 @pytest.mark.parametrize("max_batch", [0, -1])
 def test_batcher_rejects_bad_max_batch(max_batch):
-    from repro.serve import MicroBatcher
+    from repro.serve import MappingService
 
     with pytest.raises(ValueError):
-        MicroBatcher(JobQueue(), max_batch=max_batch, max_wait_ms=10)
+        MappingService(max_batch=max_batch)

@@ -91,14 +91,34 @@ class TestRoutingKey:
         assert routing_key(base) != routing_key(submission(timeout=120.0))
 
 
+def _hold_dispatch(service) -> asyncio.Event:
+    """Keep every submission to ``service`` queued until the gate is set.
+
+    The dispatcher waits on the gate before it collects a batch, so the
+    queued tickets stay cancellable and a replica stopped while holding
+    them shuts down at once.
+    """
+    gate = asyncio.Event()
+    get_batch = service.queue.get_batch
+
+    async def held(limit):
+        await gate.wait()
+        return await get_batch(limit)
+
+    service.queue.get_batch = held
+    return gate
+
+
 class _Cluster:
     """N real replica servers + a router, all on one event loop."""
 
-    def __init__(self, cache_dir, count=2, max_wait_ms=10.0, **router_config):
+    def __init__(self, cache_dir, count=2, hold=False, **router_config):
         self.cache_dir = cache_dir
         self.count = count
-        self.max_wait_ms = max_wait_ms
+        self.hold = hold
         self.router_config = router_config
+        #: replica name -> gate of its held dispatcher (``hold=True``)
+        self.gates = {}
         self.services = []
         self.servers = []
         self.router = None
@@ -110,11 +130,12 @@ class _Cluster:
             service = MappingService(
                 jobs=1,
                 max_batch=4,
-                max_wait_ms=self.max_wait_ms,
                 cache_dir=str(self.cache_dir),
                 instance_name=name,
                 warm_sharing=True,
             )
+            if self.hold:
+                self.gates[name] = _hold_dispatch(service)
             server = MappingServer(service, port=0)
             await server.start()
             self.services.append(service)
@@ -175,20 +196,18 @@ class TestRouterEndToEnd:
 
     def test_replica_death_reroutes_without_losing_the_ticket(self, tmp_path):
         async def scenario():
-            # A huge batching window keeps the job queued on its shard,
-            # so the shard dies while the job is live — the interesting
-            # case: the ticket exists nowhere but the router's table.
-            async with _Cluster(
-                tmp_path / "cache", max_wait_ms=120000.0
-            ) as cluster:
+            # Held dispatchers keep the job queued on its shard, so the
+            # shard dies while the job is live — the interesting case:
+            # the ticket exists nowhere but the router's table.
+            async with _Cluster(tmp_path / "cache", hold=True) as cluster:
                 status = await cluster.router.submit(submission())
                 victim = status.replica
                 assert not status.terminal
-                # Revive the survivor's batching so the re-routed job
-                # actually solves: shrink every *other* replica's window.
-                for service in cluster.services:
-                    if service.instance != victim:
-                        service.batcher.max_wait_ms = 10.0
+                # Release every *other* replica so the re-routed job
+                # actually solves.
+                for name, gate in cluster.gates.items():
+                    if name != victim:
+                        gate.set()
                 await cluster.kill(victim)
                 final = await cluster.wait_done(status.job_id)
                 return status, final, dict(cluster.router.counters)
@@ -203,7 +222,7 @@ class TestRouterEndToEnd:
     def test_every_replica_dead_fails_the_job_not_the_router(self, tmp_path):
         async def scenario():
             async with _Cluster(
-                tmp_path / "cache", count=1, max_wait_ms=120000.0
+                tmp_path / "cache", count=1, hold=True
             ) as cluster:
                 status = await cluster.router.submit(submission())
                 await cluster.kill("replica-1")
@@ -253,11 +272,11 @@ class TestRouterEndToEnd:
     ):
         async def scenario():
             # One replica, budget of one: the first job occupies the
-            # whole shard (its huge batching window keeps it in flight).
+            # whole shard (the held dispatcher keeps it in flight).
             async with _Cluster(
                 tmp_path / "cache",
                 count=1,
-                max_wait_ms=120000.0,
+                hold=True,
                 max_inflight=1,
                 shed_priority=0,
                 retry_after_ms=125.0,
@@ -291,7 +310,7 @@ class TestRouterEndToEnd:
             async with _Cluster(
                 tmp_path / "cache",
                 count=1,
-                max_wait_ms=120000.0,
+                hold=True,
                 max_inflight=2,
             ) as cluster:
                 # Three distinct jobs over a budget of two: nothing lands.

@@ -25,7 +25,7 @@ from repro.serve import (
 @pytest.fixture
 def live_server():
     """A real server on an ephemeral port, run on a background thread."""
-    service = MappingService(jobs=1, max_batch=4, max_wait_ms=10.0)
+    service = MappingService(jobs=1, max_batch=4)
     server = MappingServer(service, port=0)
     started = threading.Event()
 

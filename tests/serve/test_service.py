@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import pytest
 
 from repro.arch import virtex_board
 from repro.design import (
+    fft_design,
     fir_filter_design,
     image_pipeline_design,
     matrix_multiply_design,
@@ -38,7 +40,6 @@ async def wait_done(service, job_id, timeout=60.0):
 def with_service(coro_fn, **config):
     config.setdefault("jobs", 1)
     config.setdefault("max_batch", 4)
-    config.setdefault("max_wait_ms", 10.0)
 
     async def main():
         service = MappingService(**config)
@@ -91,7 +92,7 @@ class TestEndToEnd:
             finals = [await wait_done(service, s.job_id) for s in statuses]
             return finals, service.health_report().to_wire()
 
-        finals, health = with_service(scenario, max_batch=4, max_wait_ms=50.0)
+        finals, health = with_service(scenario, max_batch=4)
         assert all(f.state == "done" and f.result_status == "ok" for f in finals)
 
         # 8 submissions, only 3 unique jobs: at most 3 solves happened.
@@ -221,7 +222,7 @@ class TestLifecycleStates:
             assert all(f.result_status == "ok" for f in finals)
             return service.health_report().to_wire()
 
-        health = with_service(scenario, max_wait_ms=50.0)
+        health = with_service(scenario)
         assert health["counters"]["result_ok"] == 1  # exactly one solve
 
     def test_submit_many_is_atomic_on_a_bad_entry(self):
@@ -258,7 +259,7 @@ class TestLifecycleStates:
             assert follower_final.state == "expired"
 
         async def main():
-            service = MappingService(jobs=1, max_batch=4, max_wait_ms=10.0)
+            service = MappingService(jobs=1, max_batch=4)
             try:
                 await scenario(service)
             finally:
@@ -296,7 +297,7 @@ class TestLifecycleStates:
             assert primary_final.state == "expired"
 
         async def main():
-            service = MappingService(jobs=1, max_batch=4, max_wait_ms=10.0)
+            service = MappingService(jobs=1, max_batch=4)
             try:
                 await scenario(service)
             finally:
@@ -321,11 +322,11 @@ class TestHealthAndArtifact:
         async def scenario(service):
             return service.health_report().to_wire()
 
-        health = with_service(scenario, max_batch=7, max_wait_ms=3.0)
+        health = with_service(scenario, max_batch=7)
         assert health["status"] == "ok"
         assert health["workers"] == 1
         assert health["details"]["max_batch"] == 7
-        assert health["details"]["max_wait_ms"] == 3.0
+        assert "max_wait_ms" not in health["details"]  # no batching window
         assert health["queue_depth"] == 0
         assert health["uptime_seconds"] >= 0
 
@@ -357,3 +358,112 @@ class TestHealthAndArtifact:
 
         service = with_service(scenario, record_entries=4)
         assert len(service._records) <= 4
+
+
+class _GatedEngine(MappingEngine):
+    """The in-process engine, holding each batch until ``release`` is set."""
+
+    def __init__(self) -> None:
+        super().__init__(jobs=1)
+        self.release = threading.Event()
+
+    def run(self, batch):
+        assert self.release.wait(timeout=30.0), "gate never released"
+        return super().run(batch)
+
+
+def with_gated_service(coro_fn):
+    """Run ``coro_fn(service, engine)`` against a service on a gated engine."""
+
+    async def main():
+        engine = _GatedEngine()
+        service = MappingService(max_batch=4, engine=engine)
+        await service.start()
+        try:
+            return await coro_fn(service, engine)
+        finally:
+            engine.release.set()
+            await service.stop()
+
+    return asyncio.run(main())
+
+
+class TestDispatchWhenIdle:
+    def test_lone_submission_runs_after_one_loop_turn(self):
+        async def scenario(service, engine):
+            for _ in range(3):  # let the dispatcher park on the empty queue
+                await asyncio.sleep(0)
+            assert service.counters["batches"] == 0
+            status = service.submit(submission())
+            await asyncio.sleep(0)  # one loop turn, no timer
+            running = service.status(status.job_id)
+            assert running.state == "running"
+            assert service.counters["batches"] == 1
+            engine.release.set()
+            return await wait_done(service, status.job_id)
+
+        final = with_gated_service(scenario)
+        assert final.result_status == "ok"
+
+    def test_submissions_during_a_batch_ship_as_one_next_batch(self):
+        async def scenario(service, engine):
+            head = service.submit(submission(fir_filter_design()))
+            await asyncio.sleep(0)
+            assert service.status(head.job_id).state == "running"
+            # Arrivals spread over several loop turns while the engine
+            # is busy: they wait as backlog, not in a batch of their own.
+            backlog = []
+            for design in (
+                matrix_multiply_design(),
+                image_pipeline_design(),
+                fft_design(),
+            ):
+                backlog.append(service.submit(submission(design)))
+                await asyncio.sleep(0.01)
+            assert service.counters["batches"] == 1
+            assert all(
+                service.status(s.job_id).state == "queued" for s in backlog
+            )
+            engine.release.set()
+            finals = [
+                await wait_done(service, s.job_id) for s in [head, *backlog]
+            ]
+            return finals, service.counters["batches"], list(service.batch_sizes)
+
+        finals, batches, sizes = with_gated_service(scenario)
+        assert all(f.result_status == "ok" for f in finals)
+        assert batches == 2
+        assert sizes == [1, 3]
+
+
+class TestLatencyStages:
+    def test_healthz_reports_per_stage_percentiles(self):
+        async def scenario(service):
+            cold = service.submit(submission())
+            await wait_done(service, cold.job_id)
+            cached = service.submit(submission())  # memory hit
+            await wait_done(service, cached.job_id)
+            record = service.status(cold.job_id)
+            return record, service.health_report().to_wire()
+
+        record, health = with_service(scenario)
+        latency = health["details"]["latency"]
+        assert set(latency) == {"queue", "engine", "solve", "end_to_end"}
+        # The store hit never queued or solved, so those stages hold the
+        # cold job alone (p50 == p99); end to end holds both jobs.
+        queue, engine = latency["queue"]["p50"], latency["engine"]["p50"]
+        assert latency["queue"]["p99"] == queue == pytest.approx(
+            (record.started_at - record.submitted_at) * 1000.0
+        )
+        assert latency["engine"]["p99"] == engine == pytest.approx(
+            (record.finished_at - record.started_at) * 1000.0
+        )
+        assert latency["end_to_end"]["p50"] < latency["end_to_end"]["p99"]
+        # The solve happens inside the engine stage; the cold job's queue
+        # and engine stages add up to its end-to-end latency.
+        assert 0 < latency["solve"]["p50"] <= engine
+        assert latency["end_to_end"]["p99"] == pytest.approx(queue + engine)
+        # The counters and batch summary perfbench reads are still there.
+        assert health["details"]["batches"]["count"] == 1
+        assert health["details"]["batches"]["mean_size"] == 1
+        assert health["counters"]["batches"] == 1

@@ -228,7 +228,6 @@ class TestWarmStoreSimilarity:
 def run_service_scenario(coro_fn, **config):
     config.setdefault("jobs", 1)
     config.setdefault("max_batch", 4)
-    config.setdefault("max_wait_ms", 10.0)
 
     async def main():
         service = MappingService(**config)
@@ -349,11 +348,11 @@ class TestServiceSimilarityPath:
 
         async def main():
             first = MappingService(
-                jobs=1, max_batch=4, max_wait_ms=10.0, cache_dir=cache_dir,
+                jobs=1, max_batch=4, cache_dir=cache_dir,
                 warm_sharing=True, instance_name="replica-1",
             )
             second = MappingService(
-                jobs=1, max_batch=4, max_wait_ms=10.0, cache_dir=cache_dir,
+                jobs=1, max_batch=4, cache_dir=cache_dir,
                 warm_sharing=True, instance_name="replica-2",
             )
             await first.start()

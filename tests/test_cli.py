@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 
 from repro.cli import BUILTIN_BOARDS, BUILTIN_DESIGNS, main
 from repro.io import board_to_dict, design_to_dict, save_json
@@ -258,8 +259,13 @@ class TestServeCommandUsage:
         assert "max-batch" in capsys.readouterr().err
 
     def test_bad_max_wait_is_a_usage_error(self, capsys):
-        assert main(["serve", "--max-wait-ms", "-5"]) == 2
-        assert "max-wait-ms" in capsys.readouterr().err
+        # The batching window is gone (batches form from the backlog
+        # only), so any --max-wait-ms, even a formerly valid one, is an
+        # unknown flag: argparse's usage error, exit code 2.
+        with pytest.raises(SystemExit) as caught:
+            main(["serve", "--max-wait-ms", "25"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --max-wait-ms" in capsys.readouterr().err
 
     def test_zero_jobs_is_a_usage_error(self, capsys):
         assert main(["serve", "--jobs", "0"]) == 2
@@ -312,7 +318,7 @@ class TestSubmitCommand:
 
         from repro.serve import MappingServer, MappingService, ServeClient
 
-        service = MappingService(jobs=1, max_batch=4, max_wait_ms=10.0)
+        service = MappingService(jobs=1, max_batch=4)
         server = MappingServer(service, port=0)
         started = threading.Event()
 
