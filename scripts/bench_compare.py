@@ -34,31 +34,6 @@ from typing import Any, Dict, List, Optional
 REQUIRED_KEYS = ("kind", "artifact_version", "name", "solver", "num_points",
                  "wall_seconds", "results")
 
-#: Aggregate counters diffed when both artifacts carry them.
-TOTAL_KEYS = (
-    "wall_seconds",
-    "serial_seconds",
-    "total_lp_solves",
-    "total_nodes_explored",
-    "total_simplex_iterations",
-    "total_warm_lp_solves",
-    "total_basis_reuses",
-    "total_refactorizations",
-    "total_etas_applied",
-    "total_ftran_nnz",
-    "total_btran_nnz",
-    "total_pivots",
-    "total_global_solves",
-    "total_retries",
-    "total_presolve_rows_dropped",
-    "total_presolve_cols_fixed",
-    "total_exact_nodes",
-    "total_heuristic_incumbents",
-    "total_dive_pivots",
-    "total_lns_rounds",
-    "num_fast_certified",
-)
-
 #: Solver-work keys a table3 artifact must carry since the revised-simplex
 #: kernel landed (the bench-smoke job gates on their presence).
 TABLE3_KEYS = ("total_warm_lp_solves", "total_basis_reuses",
@@ -309,7 +284,11 @@ def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
     print()
 
     print(f"{'metric':<30} {'baseline':>12} {'candidate':>12} {'delta':>20}")
-    for key in TOTAL_KEYS:
+    # Aggregates: the timings, every total_* counter either artifact
+    # carries, and the heuristics benchmark's certification count.
+    totals = sorted({key for document in (baseline, candidate)
+                     for key in document if key.startswith("total_")})
+    for key in ("wall_seconds", "serial_seconds", *totals, "num_fast_certified"):
         base = baseline.get(key)
         cand = candidate.get(key)
         if base is None and cand is None:

@@ -24,6 +24,7 @@ __all__ = [
     "serve_artifact",
     "serve_scale_artifact",
     "latency_percentiles",
+    "total_keys",
     "write_bench_artifact",
 ]
 
@@ -95,10 +96,6 @@ def explore_artifact(result: "ExploreResult") -> Dict[str, Any]:
     from ..io.serialize import scenario_grid_to_dict
 
     serial_seconds = result.serial_seconds()
-
-    def total(attribute: str) -> int:
-        return int(result.total(attribute))
-
     document = {
         "kind": "bench_artifact",
         "artifact_version": ARTIFACT_VERSION,
@@ -115,14 +112,7 @@ def explore_artifact(result: "ExploreResult") -> Dict[str, Any]:
         "speedup_vs_serial": (
             (serial_seconds / result.elapsed) if result.elapsed > 0 else None
         ),
-        "total_lp_solves": total("lp_solves"),
-        "total_nodes_explored": total("nodes_explored"),
-        "total_simplex_iterations": total("simplex_iterations"),
-        "total_warm_lp_solves": total("warm_lp_solves"),
-        "total_basis_reuses": total("basis_reuses"),
-        "total_refactorizations": total("refactorizations"),
-        "total_etas_applied": total("etas_applied"),
-        "total_retries": total("retries"),
+        **total_keys(result.counter_totals()),
         "cache": dict(result.cache_stats) if result.cache_stats is not None else None,
         "grid": scenario_grid_to_dict(result.grid),
         "chains": [list(chain) for chain in result.chains],
@@ -137,6 +127,19 @@ def explore_artifact(result: "ExploreResult") -> Dict[str, Any]:
         document["streamed"] = True
         document["results_path"] = result.results_path
     return document
+
+
+def total_keys(totals: Mapping[str, Any]) -> Dict[str, int]:
+    """``total_<name>`` for every scalar counter in ``totals``.
+
+    ``totals`` comes from :func:`repro.ilp.sum_counters`; counter maps
+    stay in the per-result ``solve_stats`` so the artifact remains flat.
+    """
+    return {
+        f"total_{name}": value
+        for name, value in totals.items()
+        if isinstance(value, int) and not isinstance(value, bool)
+    }
 
 
 def latency_percentiles(samples: Sequence[float]) -> Dict[str, Optional[float]]:

@@ -51,8 +51,8 @@ from ..engine import (
     MappingEngine,
     MappingJob,
 )
-from ..ilp import highs_available
-from .artifacts import write_bench_artifact
+from ..ilp import highs_available, sum_counters
+from .artifacts import total_keys, write_bench_artifact
 from .designpoints import DesignPoint, default_design_points
 
 __all__ = ["ExperimentRow", "Table3Harness", "run_table3", "default_solver_backend"]
@@ -339,11 +339,6 @@ class Table3Harness:
         serial_seconds = sum(
             row.global_detailed_seconds + row.complete_seconds for row in rows
         )
-
-        def stat_total(key: str) -> int:
-            return int(sum(int(row.global_solve_stats.get(key, 0) or 0)
-                           for row in rows))
-
         return {
             "kind": "bench_artifact",
             "artifact_version": 1,
@@ -359,22 +354,7 @@ class Table3Harness:
             # Totals of the global/detailed flow's solver work, so two
             # artifacts (e.g. warm+presolve vs the legacy cold path) can be
             # diffed by scripts/bench_compare.py.
-            "total_lp_solves": stat_total("lp_solves"),
-            "total_nodes_explored": stat_total("nodes_explored"),
-            "total_simplex_iterations": stat_total("simplex_iterations"),
-            "total_warm_lp_solves": stat_total("warm_lp_solves"),
-            "total_basis_reuses": stat_total("basis_reuses"),
-            "total_refactorizations": stat_total("refactorizations"),
-            "total_etas_applied": stat_total("etas_applied"),
-            "total_ftran_nnz": stat_total("ftran_nnz"),
-            "total_btran_nnz": stat_total("btran_nnz"),
-            "total_global_solves": stat_total("global_solves"),
-            "total_retries": stat_total("retries"),
-            "total_presolve_rows_dropped": stat_total("presolve_rows_dropped"),
-            "total_presolve_cols_fixed": stat_total("presolve_cols_fixed"),
-            "total_heuristic_incumbents": stat_total("heuristic_incumbents"),
-            "total_dive_pivots": stat_total("dive_pivots"),
-            "total_lns_rounds": stat_total("lns_rounds"),
+            **total_keys(sum_counters(row.global_solve_stats for row in rows)),
             "results": [
                 {
                     "label": row.point.label(),

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..arch.board import Board
 from ..design.design import Design
-from ..ilp import SolveContext
+from ..ilp import SolveContext, sum_counters
 from .detailed_mapper import DetailedMapper, DetailedMappingFailure
 from .global_mapper import GlobalMapper
 from .heuristic_mapper import GreedyMapper
@@ -220,50 +220,19 @@ class MemoryMapper:
     ) -> Dict[str, object]:
         """Aggregate the per-solve solver statistics of the retry loop.
 
-        Works for every backend (the counters come from the per-solve
-        stats dictionaries); the context adds its cross-retry extras when
-        warm retries are enabled.
+        Works for every backend: each counter the per-solve stats
+        dictionaries carry is summed (:func:`repro.ilp.sum_counters`); the
+        context adds its cross-retry extras when warm retries are enabled.
         """
-        def total(key: str) -> int:
-            return int(sum(int(s.get(key, 0) or 0) for s in stage_stats))
-
-        def merge_counts(key: str) -> Dict[str, int]:
-            merged: Dict[str, int] = {}
-            for s in stage_stats:
-                mapping = s.get(key) or {}
-                if isinstance(mapping, dict):
-                    for name, count in mapping.items():
-                        merged[name] = merged.get(name, 0) + int(count)
-            return merged
-
-        presolve_rows = presolve_cols = 0
-        for s in stage_stats:
-            pres = s.get("presolve") or {}
-            if isinstance(pres, dict):
-                presolve_rows += int(pres.get("rows_dropped_ub", 0))
-                presolve_rows += int(pres.get("rows_dropped_eq", 0))
-                presolve_cols += int(pres.get("cols_fixed", 0))
+        counters = sum_counters(stage_stats)
+        presolve = counters["presolve"]
         stats: Dict[str, object] = {
             "global_solves": len(stage_stats),
             "retries": retries,
-            "lp_solves": total("lp_solves"),
-            "nodes_explored": total("nodes_explored"),
-            "simplex_iterations": total("simplex_iterations"),
-            "warm_lp_solves": total("warm_lp_solves"),
-            "basis_reuses": total("basis_reuses"),
-            "refactorizations": total("refactorizations"),
-            "etas_applied": total("etas_applied"),
-            "ftran_nnz": total("ftran_nnz"),
-            "btran_nnz": total("btran_nnz"),
-            "refactor_triggers": merge_counts("refactor_triggers"),
-            "pricing_pivots": merge_counts("pricing_pivots"),
-            "incumbent_updates": total("incumbent_updates"),
-            "heuristic_incumbents": total("heuristic_incumbents"),
-            "dive_lp_solves": total("dive_lp_solves"),
-            "dive_pivots": total("dive_pivots"),
-            "lns_rounds": total("lns_rounds"),
-            "presolve_rows_dropped": presolve_rows,
-            "presolve_cols_fixed": presolve_cols,
+            **counters,
+            "presolve_rows_dropped": presolve.get("rows_dropped_ub", 0)
+            + presolve.get("rows_dropped_eq", 0),
+            "presolve_cols_fixed": presolve.get("cols_fixed", 0),
             "warm_retries": context is not None,
             "backend": str(stage_stats[-1].get("backend", "")) if stage_stats else "",
             "mode": self.mode,

@@ -13,16 +13,15 @@ that realistic inputs can be produced end-to-end:
 * lifetime computation per data structure (first def to last use), from
   which a :class:`~repro.design.conflicts.ConflictSet` is derived.
 
-The implementation uses :mod:`networkx` for the graph bookkeeping (already
-a dependency of the scientific-Python stack available here).
+The graph is kept as insertion-ordered predecessor/successor maps; the
+topological order is a generation-by-generation Kahn walk, so ties
+between ready tasks always break by the order the tasks were added.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from .conflicts import ConflictSet
 from .datastruct import DataStructure, DesignError
@@ -78,25 +77,29 @@ class TaskGraph:
 
     def __init__(self, name: str = "taskgraph") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
         self._tasks: Dict[str, Task] = {}
+        # Adjacency as insertion-ordered dicts used as ordered sets.
+        self._preds: Dict[str, Dict[str, None]] = {}
+        self._succs: Dict[str, Dict[str, None]] = {}
 
     # ------------------------------------------------------------ building
     def add_task(self, task: Task, depends_on: Iterable[str] = ()) -> Task:
         """Add a task and its dependency edges (dependencies must exist)."""
         if task.name in self._tasks:
             raise DesignError(f"duplicate task name {task.name!r}")
-        self._tasks[task.name] = task
-        self._graph.add_node(task.name)
+        depends_on = list(depends_on)
         for dep in depends_on:
+            # Edges only come from tasks that already exist, so the one
+            # cycle an add can create is a task depending on itself.
+            if dep == task.name:
+                raise DesignError(f"adding task {task.name!r} would create a cycle")
             if dep not in self._tasks:
                 raise DesignError(f"task {task.name!r} depends on unknown task {dep!r}")
-            self._graph.add_edge(dep, task.name)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            # Roll back so the graph stays usable after the error.
-            self._graph.remove_node(task.name)
-            del self._tasks[task.name]
-            raise DesignError(f"adding task {task.name!r} would create a cycle")
+        self._tasks[task.name] = task
+        self._preds[task.name] = dict.fromkeys(depends_on)
+        self._succs[task.name] = {}
+        for dep in depends_on:
+            self._succs[dep][task.name] = None
         return task
 
     def add_chain(self, tasks: Sequence[Task]) -> List[Task]:
@@ -125,10 +128,26 @@ class TaskGraph:
             raise DesignError(f"no task named {name!r} in task graph {self.name!r}")
 
     def predecessors(self, name: str) -> List[str]:
-        return list(self._graph.predecessors(name))
+        return list(self._preds[name])
 
     def successors(self, name: str) -> List[str]:
-        return list(self._graph.successors(name))
+        return list(self._succs[name])
+
+    def _topological_order(self) -> List[str]:
+        """Kahn's walk one generation at a time, in task-insertion order."""
+        in_degree = {name: len(preds) for name, preds in self._preds.items()}
+        generation = [name for name, degree in in_degree.items() if degree == 0]
+        order: List[str] = []
+        while generation:
+            order.extend(generation)
+            following = []
+            for name in generation:
+                for succ in self._succs[name]:
+                    in_degree[succ] -= 1
+                    if in_degree[succ] == 0:
+                        following.append(succ)
+            generation = following
+        return order
 
     def touched_structures(self) -> Set[str]:
         """Names of every data structure read or written by some task."""
@@ -154,16 +173,16 @@ class TaskGraph:
 
     def _critical_path_priority(self) -> Dict[str, int]:
         priority: Dict[str, int] = {}
-        for node in reversed(list(nx.topological_sort(self._graph))):
+        for node in reversed(self._topological_order()):
             task = self._tasks[node]
-            succ = [priority[s] for s in self._graph.successors(node)]
+            succ = [priority[s] for s in self._succs[node]]
             priority[node] = task.latency + (max(succ) if succ else 0)
         return priority
 
     def _schedule(self, resource_limit: Optional[int]) -> Schedule:
         if not self._tasks:
             raise DesignError(f"task graph {self.name!r} has no tasks to schedule")
-        order = list(nx.topological_sort(self._graph))
+        order = self._topological_order()
         priority = self._critical_path_priority()
 
         start: Dict[str, int] = {}
@@ -171,7 +190,7 @@ class TaskGraph:
         if resource_limit is None:
             for node in order:
                 earliest = max(
-                    (finish[p] for p in self._graph.predecessors(node)), default=0
+                    (finish[p] for p in self._preds[node]), default=0
                 )
                 start[node] = earliest
                 finish[node] = earliest + self._tasks[node].latency
@@ -181,14 +200,14 @@ class TaskGraph:
             unscheduled = set(order)
             running: List[Tuple[int, str]] = []  # (finish time, task)
             time = 0
-            in_degree = {n: self._graph.in_degree(n) for n in order}
+            in_degree = {n: len(self._preds[n]) for n in order}
             ready = [n for n in order if in_degree[n] == 0]
             while unscheduled:
                 # Retire finished tasks and release their successors.
                 for finish_time, node in list(running):
                     if finish_time <= time:
                         running.remove((finish_time, node))
-                        for succ in self._graph.successors(node):
+                        for succ in self._succs[node]:
                             in_degree[succ] -= 1
                             if in_degree[succ] == 0:
                                 ready.append(succ)

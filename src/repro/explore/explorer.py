@@ -18,7 +18,8 @@ changes only the solver effort (fewer LP solves), never the mappings.
 
 ``warm_chain=False`` (the CLI's ``--cold``) runs the identical grid with
 every point solved independently — the baseline the explore artifact's
-``total_lp_solves`` is meant to be compared against.
+``total_*`` solver counters (``total_lp_solves`` first among them) are
+meant to be compared against.
 
 Two execution modes share that wavefront loop:
 
@@ -50,6 +51,7 @@ from ..core.objective import CostWeights
 from ..engine import MappingEngine, MappingJob
 from ..engine.cache import canonical_hash
 from ..engine.jobs import JobResult, _weights_to_dict
+from ..ilp import add_counters, sum_counters
 from .grid import ScenarioGrid
 from .pareto import ParetoAccumulator, pareto_indices
 from .scenarios import ExploreError, ScenarioPoint
@@ -67,18 +69,6 @@ class CheckpointError(ExploreError):
     """A checkpoint/spool pair cannot be resumed safely."""
 
 
-#: Solver-effort counters accumulated across points (artifact totals).
-_COUNTER_KEYS: Tuple[str, ...] = (
-    "lp_solves",
-    "nodes_explored",
-    "simplex_iterations",
-    "warm_lp_solves",
-    "basis_reuses",
-    "refactorizations",
-    "etas_applied",
-    "retries",
-)
-
 #: Current layout version of the checkpoint document.
 _CHECKPOINT_VERSION = 1
 
@@ -95,14 +85,6 @@ class ExplorePointResult:
     status: str
     objective: Optional[float] = None
     wall_time: float = 0.0
-    lp_solves: int = 0
-    nodes_explored: int = 0
-    simplex_iterations: int = 0
-    warm_lp_solves: int = 0
-    basis_reuses: int = 0
-    refactorizations: int = 0
-    etas_applied: int = 0
-    retries: int = 0
     fingerprint: Optional[str] = None
     cache_hit: bool = False
     error: str = ""
@@ -111,6 +93,18 @@ class ExplorePointResult:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    @property
+    def lp_solves(self) -> int:
+        return int(self.solve_stats.get("lp_solves") or 0)
+
+    @property
+    def nodes_explored(self) -> int:
+        return int(self.solve_stats.get("nodes_explored") or 0)
+
+    @property
+    def retries(self) -> int:
+        return int(self.solve_stats.get("retries") or 0)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -122,14 +116,6 @@ class ExplorePointResult:
             "status": self.status,
             "objective": self.objective,
             "wall_time": self.wall_time,
-            "lp_solves": self.lp_solves,
-            "nodes_explored": self.nodes_explored,
-            "simplex_iterations": self.simplex_iterations,
-            "warm_lp_solves": self.warm_lp_solves,
-            "basis_reuses": self.basis_reuses,
-            "refactorizations": self.refactorizations,
-            "etas_applied": self.etas_applied,
-            "retries": self.retries,
             "fingerprint": self.fingerprint,
             "cache_hit": self.cache_hit,
             "error": self.error,
@@ -138,7 +124,11 @@ class ExplorePointResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ExplorePointResult":
-        """Inverse of :meth:`to_dict` (spool replay on resume)."""
+        """Inverse of :meth:`to_dict` (spool replay on resume).
+
+        Older spool rows also carry some counters as top-level keys; they
+        were copies of ``solve_stats`` and are ignored.
+        """
         return cls(
             label=data["label"],
             family=data["family"],
@@ -148,14 +138,6 @@ class ExplorePointResult:
             status=data["status"],
             objective=data.get("objective"),
             wall_time=float(data.get("wall_time") or 0.0),
-            lp_solves=int(data.get("lp_solves") or 0),
-            nodes_explored=int(data.get("nodes_explored") or 0),
-            simplex_iterations=int(data.get("simplex_iterations") or 0),
-            warm_lp_solves=int(data.get("warm_lp_solves") or 0),
-            basis_reuses=int(data.get("basis_reuses") or 0),
-            refactorizations=int(data.get("refactorizations") or 0),
-            etas_applied=int(data.get("etas_applied") or 0),
-            retries=int(data.get("retries") or 0),
             fingerprint=data.get("fingerprint"),
             cache_hit=bool(data.get("cache_hit")),
             error=data.get("error") or "",
@@ -226,7 +208,7 @@ class ExploreResult:
     streamed: bool = False
     results_path: Optional[str] = None
     summaries: Optional[List[PointSummary]] = None
-    totals: Optional[Dict[str, float]] = None
+    totals: Optional[Dict[str, Any]] = None
     pareto: Optional[List[ExplorePointResult]] = None
     pareto_timed: Optional[List[ExplorePointResult]] = None
 
@@ -265,18 +247,17 @@ class ExploreResult:
             if not summary.cache_hit
         )
 
-    def total(self, attribute: str) -> float:
-        if self.totals is not None and attribute in self.totals:
-            return float(self.totals[attribute])
-        # Failed points carry objective=None; treat missing values as 0
-        # rather than letting sum() add None to a float.
-        return float(
-            sum(
-                value
-                for point in self.points
-                if (value := getattr(point, attribute)) is not None
-            )
-        )
+    def counter_totals(self) -> Dict[str, Any]:
+        """Solver counters summed over every point, with objective and wall time."""
+        if self.totals is not None:
+            return self.totals
+        totals = _new_totals()
+        for point in self.points:
+            _add_point(totals, point)
+        return totals
+
+    def total(self, key: str) -> float:
+        return float(self.counter_totals().get(key, 0))
 
     def pareto_front(self) -> List[ExplorePointResult]:
         """Non-dominated points over (objective, LP solves) — deterministic."""
@@ -330,6 +311,18 @@ class ExploreResult:
         return canonical_hash(document)
 
 
+def _new_totals() -> Dict[str, Any]:
+    return {**sum_counters(()), "objective": 0.0, "wall_time": 0.0}
+
+
+def _add_point(totals: Dict[str, Any], point: ExplorePointResult) -> None:
+    add_counters(totals, point.solve_stats)
+    totals["wall_time"] += point.wall_time
+    # Failed points carry objective=None and add nothing to the total.
+    if point.objective is not None:
+        totals["objective"] += point.objective
+
+
 class _StreamState:
     """Per-wave fold of a streaming run: summaries, totals, fronts."""
 
@@ -337,19 +330,13 @@ class _StreamState:
         self.summaries: List[List[Optional[PointSummary]]] = [
             [None] * length for length in lengths
         ]
-        self.totals: Dict[str, float] = {key: 0 for key in _COUNTER_KEYS}
-        self.totals["objective"] = 0.0
-        self.totals["wall_time"] = 0.0
+        self.totals = _new_totals()
         self.front: ParetoAccumulator[ExplorePointResult] = ParetoAccumulator()
         self.front_timed: ParetoAccumulator[ExplorePointResult] = ParetoAccumulator()
 
     def add(self, record: ExplorePointResult) -> None:
         self.summaries[record.chain][record.step] = PointSummary.from_point(record)
-        for key in _COUNTER_KEYS:
-            self.totals[key] += getattr(record, key)
-        self.totals["wall_time"] += record.wall_time
-        if record.objective is not None:
-            self.totals["objective"] += record.objective
+        _add_point(self.totals, record)
         if record.ok:
             # (chain, step) as the order key restores chain-major front
             # order no matter when the point streamed in.
@@ -781,7 +768,6 @@ class DesignSpaceExplorer:
         step: int,
         result: JobResult,
     ) -> ExplorePointResult:
-        stats = result.solve_stats
         return ExplorePointResult(
             label=result.label,
             family=point.family,
@@ -791,16 +777,8 @@ class DesignSpaceExplorer:
             status=result.status,
             objective=result.objective,
             wall_time=result.wall_time,
-            lp_solves=int(stats.get("lp_solves", 0) or 0),
-            nodes_explored=int(stats.get("nodes_explored", 0) or 0),
-            simplex_iterations=int(stats.get("simplex_iterations", 0) or 0),
-            warm_lp_solves=int(stats.get("warm_lp_solves", 0) or 0),
-            basis_reuses=int(stats.get("basis_reuses", 0) or 0),
-            refactorizations=int(stats.get("refactorizations", 0) or 0),
-            etas_applied=int(stats.get("etas_applied", 0) or 0),
-            retries=int(stats.get("retries", 0) or 0),
             fingerprint=result.fingerprint,
             cache_hit=result.cache_hit,
             error=result.error,
-            solve_stats=dict(stats),
+            solve_stats=dict(result.solve_stats),
         )

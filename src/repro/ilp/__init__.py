@@ -71,6 +71,8 @@ from .solution import (
     LpResult,
     Solution,
     SolveStats,
+    add_counters,
+    sum_counters,
 )
 from .standard_form import StandardForm, to_standard_form
 
@@ -124,6 +126,8 @@ __all__ = [
     "Solution",
     "SolveStats",
     "LpResult",
+    "add_counters",
+    "sum_counters",
     "OPTIMAL",
     "FEASIBLE",
     "INFEASIBLE",

@@ -191,14 +191,7 @@ class BranchAndBoundSolver:
         elif self._lp_backend == "revised":
             engine = self._revised_engine(form)
             result = engine.solve(form.lb, form.ub, basis=basis)
-            stats.refactorizations += result.refactorizations
-            stats.etas_applied += result.etas_applied
-            stats.ftran_nnz += result.ftran_nnz
-            stats.btran_nnz += result.btran_nnz
-            for trigger, count in result.refactor_triggers.items():
-                stats.refactor_triggers[trigger] = (
-                    stats.refactor_triggers.get(trigger, 0) + count
-                )
+            stats.add_lp(result)
             if result.pricing:
                 stats.pricing_pivots[result.pricing] = (
                     stats.pricing_pivots.get(result.pricing, 0) + result.iterations
@@ -395,7 +388,6 @@ class BranchAndBoundSolver:
                 # solve under this context (a Section 4.1 retry, or a
                 # warm-chained sweep point) starts its root LP from it.
                 context.note_basis(root_basis_holder[0])
-            context.record(stats)
             if incumbent is not None and math.isfinite(incumbent_obj):
                 context.note_incumbent(incumbent)
                 user_obj = form.objective_scale * incumbent_obj

@@ -12,11 +12,12 @@ retry ``N-1`` is still true in retry ``N``:
 
 :class:`SolveContext` carries exactly that state.  It is created per
 pipeline run, threaded through :class:`repro.core.GlobalMapper` into the
-branch-and-bound solver, and aggregated into the solve statistics that
-``MappingResult`` / ``repro map --json`` report.  Contexts serialise to
-plain dictionaries (:meth:`as_dict` / :meth:`from_dict`) so their
-aggregate can cross process boundaries with the batch engine's job
-results.
+branch-and-bound solver; its warm-start and form-reuse counts join the
+solve statistics that ``MappingResult`` / ``repro map --json`` report
+(the solver counters themselves are summed from each solve's
+:class:`~repro.ilp.solution.SolveStats`).  Contexts serialise to plain
+dictionaries (:meth:`as_dict` / :meth:`from_dict`) so a detached copy can
+be handed to another solver.
 
 Pseudo-costs are keyed by *variable name*, not index: names are stable
 across retries (the model is reused, forbidden pairs arrive as bound
@@ -108,21 +109,9 @@ class SolveContext:
         #: the next solve's root LP dual-warm-starts from it (validated
         #: against the new form's dimensions by the kernel itself).
         self.warm_basis: Optional[BasisState] = None
-        # ---- aggregate counters over every solve run under this context
-        self.solves: int = 0
-        self.total_lp_solves: int = 0
-        self.total_nodes: int = 0
-        self.total_simplex_iterations: int = 0
-        self.total_warm_lp_solves: int = 0
-        self.total_basis_reuses: int = 0
-        self.total_refactorizations: int = 0
-        self.total_etas_applied: int = 0
-        self.total_heuristic_incumbents: int = 0
-        self.total_dive_pivots: int = 0
-        self.total_lns_rounds: int = 0
-        self.presolve_rows_dropped: int = 0
-        self.presolve_cols_fixed: int = 0
+        #: incumbent updates that came from a warm start
         self.warm_start_hits: int = 0
+        #: solves that reused the cached standard form
         self.form_reuses: int = 0
         self._form_cache: Tuple[Optional[object], Optional[StandardForm]] = (None, None)
 
@@ -175,51 +164,13 @@ class SolveContext:
         if basis is not None:
             self.warm_basis = basis.copy()
 
-    # ------------------------------------------------------------- statistics
-    def record(self, stats) -> None:
-        """Fold one solve's :class:`~repro.ilp.solution.SolveStats` in."""
-        self.solves += 1
-        self.total_lp_solves += stats.lp_solves
-        self.total_nodes += stats.nodes_explored
-        self.total_simplex_iterations += stats.simplex_iterations
-        self.total_warm_lp_solves += getattr(stats, "warm_lp_solves", 0)
-        self.total_basis_reuses += getattr(stats, "basis_reuses", 0)
-        self.total_refactorizations += getattr(stats, "refactorizations", 0)
-        self.total_etas_applied += getattr(stats, "etas_applied", 0)
-        self.total_heuristic_incumbents += getattr(stats, "heuristic_incumbents", 0)
-        self.total_dive_pivots += getattr(stats, "dive_pivots", 0)
-        self.total_lns_rounds += getattr(stats, "lns_rounds", 0)
-        pres = stats.presolve or {}
-        self.presolve_rows_dropped += int(pres.get("rows_dropped_ub", 0))
-        self.presolve_rows_dropped += int(pres.get("rows_dropped_eq", 0))
-        self.presolve_cols_fixed += int(pres.get("cols_fixed", 0))
-
-    def summary(self) -> Dict[str, Any]:
-        """Aggregate counters (what pipeline results and artifacts surface)."""
-        return {
-            "solves": self.solves,
-            "lp_solves": self.total_lp_solves,
-            "nodes": self.total_nodes,
-            "simplex_iterations": self.total_simplex_iterations,
-            "warm_lp_solves": self.total_warm_lp_solves,
-            "basis_reuses": self.total_basis_reuses,
-            "refactorizations": self.total_refactorizations,
-            "etas_applied": self.total_etas_applied,
-            "heuristic_incumbents": self.total_heuristic_incumbents,
-            "dive_pivots": self.total_dive_pivots,
-            "lns_rounds": self.total_lns_rounds,
-            "presolve_rows_dropped": self.presolve_rows_dropped,
-            "presolve_cols_fixed": self.presolve_cols_fixed,
-            "warm_start_hits": self.warm_start_hits,
-            "form_reuses": self.form_reuses,
-        }
-
     # ------------------------------------------------------------ round trip
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict form (crosses process boundaries with job results)."""
         return {
             "kind": "solve_context",
-            "summary": self.summary(),
+            "warm_start_hits": self.warm_start_hits,
+            "form_reuses": self.form_reuses,
             "pseudocosts": {k: v.as_dict() for k, v in self.pseudocosts.items()},
             "warm_values": (
                 None if self.warm_values is None else self.warm_values.tolist()
@@ -235,22 +186,8 @@ class SolveContext:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SolveContext":
         ctx = cls()
-        summary = data.get("summary") or {}
-        ctx.solves = int(summary.get("solves", 0))
-        ctx.total_lp_solves = int(summary.get("lp_solves", 0))
-        ctx.total_nodes = int(summary.get("nodes", 0))
-        ctx.total_simplex_iterations = int(summary.get("simplex_iterations", 0))
-        ctx.total_warm_lp_solves = int(summary.get("warm_lp_solves", 0))
-        ctx.total_basis_reuses = int(summary.get("basis_reuses", 0))
-        ctx.total_refactorizations = int(summary.get("refactorizations", 0))
-        ctx.total_etas_applied = int(summary.get("etas_applied", 0))
-        ctx.total_heuristic_incumbents = int(summary.get("heuristic_incumbents", 0))
-        ctx.total_dive_pivots = int(summary.get("dive_pivots", 0))
-        ctx.total_lns_rounds = int(summary.get("lns_rounds", 0))
-        ctx.presolve_rows_dropped = int(summary.get("presolve_rows_dropped", 0))
-        ctx.presolve_cols_fixed = int(summary.get("presolve_cols_fixed", 0))
-        ctx.warm_start_hits = int(summary.get("warm_start_hits", 0))
-        ctx.form_reuses = int(summary.get("form_reuses", 0))
+        ctx.warm_start_hits = int(data.get("warm_start_hits", 0))
+        ctx.form_reuses = int(data.get("form_reuses", 0))
         ctx.pseudocosts = {
             k: PseudoCost.from_dict(v)
             for k, v in (data.get("pseudocosts") or {}).items()
@@ -359,6 +296,6 @@ class SolveContext:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SolveContext(solves={self.solves}, lp_solves={self.total_lp_solves}, "
+            f"SolveContext(warm_start_hits={self.warm_start_hits}, "
             f"pseudocosts={len(self.pseudocosts)})"
         )

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Iterable, Mapping, Optional
 
 import numpy as np
 
 from .expr import Variable
 
-__all__ = ["SolveStats", "Solution", "LpResult", "OPTIMAL", "FEASIBLE",
-           "INFEASIBLE", "UNBOUNDED", "TIMEOUT", "NODE_LIMIT", "ERROR"]
+__all__ = ["SolveStats", "Solution", "LpResult", "add_counters", "sum_counters",
+           "OPTIMAL", "FEASIBLE", "INFEASIBLE", "UNBOUNDED", "TIMEOUT",
+           "NODE_LIMIT", "ERROR"]
 
 # Status constants shared by all solver backends.
 OPTIMAL = "optimal"
@@ -23,10 +24,21 @@ ERROR = "error"
 
 _SUCCESS_STATUSES = frozenset({OPTIMAL, FEASIBLE})
 
+#: A counter broken down by a label (refactorization trigger, pricing
+#: rule, presolve reduction); folded key by key.
+Counts = Dict[str, int]
+
 
 @dataclass
 class SolveStats:
-    """Aggregate work counters for a single solve."""
+    """Aggregate work counters for a single solve.
+
+    This is the one schema of solver counters: every ``int`` field and
+    every :data:`Counts` field is a counter.  Aggregators never list
+    counters by name; they fold whole stats documents with
+    :func:`add_counters`, so adding a counter means adding a field here
+    and the code that produces it.
+    """
 
     wall_time: float = 0.0
     nodes_explored: int = 0
@@ -48,9 +60,9 @@ class SolveStats:
     btran_nnz: int = 0
     #: refactorization counts keyed by what triggered them
     #: ("start", "interval", "fill", "residual").
-    refactor_triggers: Dict[str, int] = field(default_factory=dict)
+    refactor_triggers: Counts = field(default_factory=dict)
     #: simplex pivots keyed by the pricing rule that chose them.
-    pricing_pivots: Dict[str, int] = field(default_factory=dict)
+    pricing_pivots: Counts = field(default_factory=dict)
     incumbent_updates: int = 0
     #: incumbents injected by the primal heuristic portfolio (dives/LNS).
     heuristic_incumbents: int = 0
@@ -65,36 +77,24 @@ class SolveStats:
     backend: str = ""
     #: reductions reported by the presolve pass (empty when presolve is off
     #: or the backend has no presolve of its own).
-    presolve: Dict[str, int] = field(default_factory=dict)
+    presolve: Counts = field(default_factory=dict)
     #: free-form backend metadata (e.g. the portfolio's winning entrant).
     extra: Dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "wall_time": self.wall_time,
-            "nodes_explored": self.nodes_explored,
-            "nodes_pruned": self.nodes_pruned,
-            "lp_solves": self.lp_solves,
-            "simplex_iterations": self.simplex_iterations,
-            "warm_lp_solves": self.warm_lp_solves,
-            "basis_reuses": self.basis_reuses,
-            "refactorizations": self.refactorizations,
-            "etas_applied": self.etas_applied,
-            "ftran_nnz": self.ftran_nnz,
-            "btran_nnz": self.btran_nnz,
-            "refactor_triggers": dict(self.refactor_triggers),
-            "pricing_pivots": dict(self.pricing_pivots),
-            "incumbent_updates": self.incumbent_updates,
-            "heuristic_incumbents": self.heuristic_incumbents,
-            "dive_pivots": self.dive_pivots,
-            "dive_lp_solves": self.dive_lp_solves,
-            "lns_rounds": self.lns_rounds,
-            "best_bound": self.best_bound,
-            "gap": self.gap,
-            "backend": self.backend,
-            "presolve": dict(self.presolve),
-            "extra": dict(self.extra),
-        }
+        document = self.__dict__.copy()
+        for name, value in document.items():
+            if type(value) is dict:
+                document[name] = value.copy()
+        return document
+
+    def add_lp(self, result: "LpResult") -> None:
+        """Add the counters one LP solve shares, by name, with this schema."""
+        ours, theirs = self.__dict__, result.__dict__
+        for name in _LP_COUNTERS:
+            ours[name] += theirs[name]
+        for name in _LP_COUNTER_MAPS:
+            _merge_counts(ours[name], theirs[name])
 
 
 @dataclass
@@ -121,7 +121,7 @@ class LpResult:
     #: non-zeros produced by this solve's BTRAN calls.
     btran_nnz: int = 0
     #: this solve's refactorizations keyed by trigger.
-    refactor_triggers: Dict[str, int] = field(default_factory=dict)
+    refactor_triggers: Counts = field(default_factory=dict)
     #: pricing rule the solve ran under ("" for non-revised kernels).
     pricing: str = ""
     #: structural reduced costs at the optimal basis (revised kernel
@@ -132,6 +132,48 @@ class LpResult:
     @property
     def is_optimal(self) -> bool:
         return self.status == OPTIMAL
+
+
+#: Counter fields of the schema, by kind (annotations are strings here).
+_COUNTERS = frozenset(f.name for f in fields(SolveStats) if f.type == "int")
+_COUNTER_MAPS = frozenset(f.name for f in fields(SolveStats) if f.type == "Counts")
+#: Counters an :class:`LpResult` reports under the schema's own names.
+_LP_COUNTERS = tuple(f.name for f in fields(LpResult) if f.name in _COUNTERS)
+_LP_COUNTER_MAPS = tuple(f.name for f in fields(LpResult) if f.name in _COUNTER_MAPS)
+
+
+def _merge_counts(total: Dict[str, int], counts: Mapping[str, int]) -> None:
+    for name, count in counts.items():
+        total[name] = total.get(name, 0) + count
+
+
+def add_counters(total: Dict[str, Any], counts: Mapping[str, Any]) -> Dict[str, Any]:
+    """Add every counter found in the stats document ``counts`` to ``total``.
+
+    A counter is an ``int`` value (a ``bool`` is a flag, not a count) or,
+    under the name of a :data:`Counts` field of :class:`SolveStats`, a map
+    merged key by key.  Everything else (times, gaps, names, ``extra``)
+    is skipped, so documents that add keys of their own (the pipeline's
+    ``retries``, say) fold the same way.  Returns ``total``.
+    """
+    for key, value in counts.items():
+        if type(value) is int:
+            total[key] = total.get(key, 0) + value
+        elif key in _COUNTER_MAPS:
+            _merge_counts(total.setdefault(key, {}), value or {})
+    return total
+
+
+#: Every counter of the schema at zero, in field order.
+_ZERO = add_counters({}, SolveStats().as_dict())
+
+
+def sum_counters(documents: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
+    """Counter totals over stats documents; every schema counter is present."""
+    total = add_counters({}, _ZERO)
+    for document in documents:
+        add_counters(total, document)
+    return total
 
 
 @dataclass

@@ -113,11 +113,12 @@ class TestTotals:
             ExplorePointResult(
                 label="fft[points=64]", family="fft", params={},
                 chain=0, step=0, status="failed", objective=None,
-                lp_solves=2, error="infeasible",
+                solve_stats={"lp_solves": 2}, error="infeasible",
             ),
             ExplorePointResult(
                 label="fft[points=128]", family="fft", params={},
-                chain=0, step=1, status="ok", objective=2.5, lp_solves=3,
+                chain=0, step=1, status="ok", objective=2.5,
+                solve_stats={"lp_solves": 3},
             ),
         ]
         return ExploreResult(
