@@ -57,10 +57,10 @@ HEURISTICS_KEYS = ("gap_limit", "total_exact_nodes",
 
 #: Keys a serve_scale artifact (``benchmarks/bench_serve_scale.py``)
 #: must carry.  Its gates run exclusively on deterministic counters —
-#: dedupe totals, shard balance, warm reuses, fingerprint equality —
-#: never on wall time or the timing-dependent shed/retry numbers.
+#: dedupe totals, shard balance, fingerprint equality — never on wall
+#: time or the timing-dependent shed/retry numbers.
 SERVE_SCALE_KEYS = ("replicas", "max_inflight", "totals", "by_replica",
-                    "shard_counts", "warm", "fingerprint_check", "phases")
+                    "shard_counts", "fingerprint_check", "phases")
 
 
 def load_artifact(path: Path) -> Dict[str, Any]:
@@ -178,31 +178,6 @@ def _validate_serve_scale(document: Dict[str, Any]) -> List[str]:
                 f"traffic landed on {busy} shard(s) out of {replicas}; "
                 "the consistent-hash ring is not spreading load"
             )
-    warm = document.get("warm")
-    if isinstance(warm, dict) and replicas >= 2:
-        if int(warm.get("reuses", 0)) <= 0:
-            problems.append("no warm-state reuse despite shared-identity "
-                            "resubmissions")
-        if int(warm.get("imports", 0)) <= 0:
-            problems.append("no cross-replica warm import: every reuse was "
-                            "replica-local")
-    phases = document.get("phases")
-    if isinstance(phases, dict) and "near" in phases:
-        # The near phase is the similarity-keyed warm-start gate.  Like
-        # every other gate here it reads deterministic counters only:
-        # the schedule is seeded, so the near-duplicate count and the
-        # similarity imports it must produce are reproducible run to run.
-        if int(totals.get("scheduled_near_duplicates", 0)) <= 0:
-            problems.append("near phase present but the traffic schedule "
-                            "contained no near-duplicates")
-        if isinstance(warm, dict):
-            for key in ("similar_imports", "similar_rejects"):
-                if key not in warm:
-                    problems.append(f"warm counters missing key {key!r}: "
-                                    "the similarity index is not reporting")
-            if int(warm.get("similar_imports", 0)) <= 0:
-                problems.append("near-duplicate traffic produced no "
-                                "similarity warm import")
     return problems
 
 
@@ -406,13 +381,6 @@ def _compare_serve_scale(baseline: Dict[str, Any],
         print(f"{key:<28} {_fmt(base_totals.get(key)):>12} "
               f"{_fmt(cand_totals.get(key)):>12} "
               f"{_delta(base_totals.get(key), cand_totals.get(key)):>20}")
-    for label, source in (("warm", "warm"),):
-        base = baseline.get(source) or {}
-        cand = candidate.get(source) or {}
-        for key in sorted(set(base) | set(cand)):
-            print(f"{label + '.' + key:<28} {_fmt(base.get(key)):>12} "
-                  f"{_fmt(cand.get(key)):>12} "
-                  f"{_delta(base.get(key), cand.get(key)):>20}")
     same_traffic = (
         baseline.get("replicas") == candidate.get("replicas")
         and base_totals.get("scheduled") == cand_totals.get("scheduled")

@@ -248,7 +248,7 @@ def replicated_phase(reference: dict) -> None:
         )
         assert health["counters"]["routed"] > 0, health["counters"]
         print(f"[smoke/replicas] shard counts {details['shard_counts']}, "
-              f"warm {details['warm']}")
+              f"fleet counters {details['fleet']}")
 
         cli("submit", "--url", url, "--shutdown")
         assert_clean_shutdown(server, url, "replicated tier")

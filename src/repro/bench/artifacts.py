@@ -236,15 +236,14 @@ def serve_scale_artifact(
     against a direct engine run of the same jobs.
 
     The headline numbers the CI gate reads are **deterministic counters**
-    — scheduled/deduped/shed totals, shard balance, cross-replica warm
-    reuses, fingerprint equality — never wall-clock figures, which also
-    appear (latency percentiles per phase) but only for humans.
+    — scheduled/deduped/shed totals, shard balance, fingerprint
+    equality — never wall-clock figures, which also appear (latency
+    percentiles per phase) but only for humans.
     """
     totals: Dict[str, int] = {}
     for key in (
         "scheduled",
         "scheduled_duplicates",
-        "scheduled_near_duplicates",
         "completed",
         "ok",
         "shed",
@@ -281,7 +280,6 @@ def serve_scale_artifact(
         "by_replica": by_replica,
         "router_counters": dict(router_health.get("counters") or {}),
         "fleet_counters": dict(details.get("fleet") or {}),
-        "warm": dict(details.get("warm") or {}),
         "shard_counts": dict(details.get("shard_counts") or {}),
         "healthy_replicas": int(details.get("healthy_replicas", 0)),
         "fingerprint_check": dict(fingerprint_check),

@@ -494,9 +494,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_timeout=args.time_limit,
         mp_context=args.mp_context,
         instance_name=args.instance_name,
-        # A named instance is (part of) a fleet on a shared cache
-        # directory: turn on warm-state exchange with its siblings.
-        warm_sharing=bool(args.instance_name),
     )
     server = MappingServer(service, host=args.host, port=args.port)
 
@@ -545,7 +542,7 @@ def _serve_replicated(args: argparse.Namespace) -> int:
     cache_dir = args.cache_dir
     if not cache_dir:
         # The shared cache directory is what stitches the shards into one
-        # key space (dedupe + warm exchange), so a fleet always has one.
+        # key space (cross-shard dedupe), so a fleet always has one.
         cache_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
         print(f"[using shared cache directory {cache_dir}]", flush=True)
     supervisor = ReplicaSupervisor(
@@ -742,7 +739,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         rate=args.rate,
         arrival=args.arrival,
         duplicate_ratio=args.duplicate_ratio,
-        near_duplicate_ratio=args.near_duplicate_ratio,
         fast_ratio=args.fast_ratio,
         low_priority_ratio=args.low_priority_ratio,
         seed=args.seed,
@@ -988,9 +984,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "priority is below this instead of asking them "
                             "to retry (429)")
     serve.add_argument("--instance-name", default="",
-                       help="name of this replica in a sharded fleet; "
-                            "enables warm-state exchange through the shared "
-                            "cache directory")
+                       help="name of this replica in a sharded fleet "
+                            "(reported in /healthz)")
     serve.set_defaults(func=_cmd_serve)
 
     loadgen = sub.add_parser(
@@ -1014,10 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--duplicate-ratio", type=float, default=0.5,
                          help="fraction of arrivals that repeat an earlier "
                               "submission verbatim (exercises dedupe)")
-    loadgen.add_argument("--near-duplicate-ratio", type=float, default=0.0,
-                         help="fraction of arrivals that resend an earlier "
-                              "submission with one structural design edit "
-                              "(exercises similarity warm starts)")
     loadgen.add_argument("--fast-ratio", type=float, default=0.0,
                          help="fraction of arrivals submitted as fast-mode "
                               "jobs")

@@ -20,7 +20,6 @@ from .jobs import (
     JobResult,
     MappingJob,
     payload_cache_key,
-    warm_state_key,
 )
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "MappingJob",
     "JobResult",
     "payload_cache_key",
-    "warm_state_key",
     "execute_payload",
     "ResultCache",
     "canonical_hash",

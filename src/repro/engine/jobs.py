@@ -24,7 +24,6 @@ from ..io.serialize import SCHEMA_VERSION, board_to_dict, design_to_dict
 from .cache import canonical_hash
 
 __all__ = ["MappingJob", "JobResult", "payload_cache_key",
-           "WARM_IDENTITY_KEYS", "warm_state_key",
            "STATUS_OK", "STATUS_FAILED", "STATUS_ERROR", "STATUS_TIMEOUT",
            "MODE_PIPELINE", "MODE_COMPLETE", "MODE_FAST"]
 
@@ -143,47 +142,11 @@ class MappingJob:
         """
         return payload_cache_key(self.to_payload())
 
-    def warm_state_key(self) -> str:
-        """Warm-identity hash of the job (see :func:`warm_state_key`)."""
-        return warm_state_key(self.to_payload())
-
 
 def payload_cache_key(payload: Mapping[str, Any]) -> str:
     """Cache key of an executable payload (the engine hashes the payload it
     actually ships, after applying its own default timeout)."""
     return canonical_hash(payload)
-
-
-#: Payload fields that define a job's *warm identity*: what must match for
-#: one job's exported solve state to be a sound seed for another.  Mode,
-#: gap contract, timeout and chaining are deliberately excluded — they
-#: change how hard the solver works, not which problem it solves.
-WARM_IDENTITY_KEYS = (
-    "board",
-    "design",
-    "weights",
-    "solver",
-    "solver_options",
-    "capacity_mode",
-    "port_estimation",
-    "warm_start",
-    "warm_retries",
-)
-
-
-def warm_state_key(payload: Mapping[str, Any]) -> str:
-    """Warm-state key of an executable payload (see ``WARM_IDENTITY_KEYS``).
-
-    This is the exact-identity key of the serve tier's shared
-    :class:`~repro.serve.store.WarmStateStore`; it lives next to
-    :func:`payload_cache_key` because the two keys must stay derived from
-    the same payload the engine actually executes.
-    """
-    identity: Dict[str, Any] = {
-        key: payload.get(key) for key in WARM_IDENTITY_KEYS
-    }
-    identity["kind"] = "warm_state"
-    return canonical_hash(identity)
 
 
 @dataclass

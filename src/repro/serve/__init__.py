@@ -18,28 +18,17 @@ shedding and automatic re-hash when a replica dies.
 """
 
 from .client import ServeClient, ServeClientError
-from .protocol import HttpRequest, ProtocolError
+from .protocol import HttpError, HttpRequest, ProtocolError
 from .queue import JobQueue, QueuedTicket
 from .router import HashRing, RouterServer, RouterService, routing_key
 from .server import MappingServer
 from .service import MappingService, ReplicaSupervisor, ServeError
-from .signature import (
-    signature_similarity,
-    signatures_compatible,
-    signatures_equal_shape,
-    structural_signature,
-)
-from .store import ResultStore, WarmStateStore
+from .store import ResultStore
 
 __all__ = [
     "JobQueue",
     "QueuedTicket",
     "ResultStore",
-    "WarmStateStore",
-    "structural_signature",
-    "signature_similarity",
-    "signatures_compatible",
-    "signatures_equal_shape",
     "MappingService",
     "ReplicaSupervisor",
     "ServeError",
@@ -50,6 +39,7 @@ __all__ = [
     "RouterService",
     "RouterServer",
     "routing_key",
+    "HttpError",
     "HttpRequest",
     "ProtocolError",
 ]

@@ -21,6 +21,7 @@ from ..io.serve import WIRE_VERSION
 
 __all__ = [
     "HttpRequest",
+    "HttpError",
     "ProtocolError",
     "read_request",
     "format_response",
@@ -49,12 +50,27 @@ _REASONS = {
 }
 
 
-class ProtocolError(Exception):
-    """A malformed or oversized request; carries the HTTP status to send."""
+class HttpError(Exception):
+    """A request the serve tier refuses, with the structured error to send.
 
-    def __init__(self, status: int, message: str) -> None:
+    The front ends answer it with :func:`error_response` built from
+    ``status``, the message, ``code`` and the ``extra`` fields.
+    """
+
+    def __init__(
+        self, status: int, message: str, code: str = "", **extra: Any
+    ) -> None:
         super().__init__(message)
         self.status = status
+        self.code = code
+        self.extra = extra
+
+
+class ProtocolError(HttpError):
+    """A malformed or oversized request (code ``BAD_REQUEST``)."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(status, message, code="BAD_REQUEST")
 
 
 @dataclass

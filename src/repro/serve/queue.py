@@ -31,7 +31,6 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -62,26 +61,13 @@ class QueuedTicket:
     #: Set once the dispatcher hands the ticket to the engine; from then
     #: on cancellation and expiry are refused (the solve is in flight).
     running: bool = False
-    #: Warm-state key of the job's identity when warm sharing is active
-    #: (empty otherwise); the finished solve exports its chain context
-    #: under this key for sibling replicas to seed from.
-    warm_key: str = ""
-    #: Structural signature of the job's payload (when warm sharing is
-    #: active); exported alongside the chain context so near-duplicate
-    #: submissions can find this entry by similarity.
-    signature: Optional[Dict[str, Any]] = None
 
     def job_ids(self) -> List[str]:
         return [self.job_id, *self.followers]
 
-    def expired(self, now: Optional[float] = None) -> bool:
-        if self.deadline_at is None or self.running:
-            return False
-        return (time.monotonic() if now is None else now) >= self.deadline_at
-
 
 class JobQueue:
-    """Priority queue with cancellation and deadline bookkeeping."""
+    """Priority queue with cancellation."""
 
     def __init__(self) -> None:
         # Heap entries are [neg_priority, seq, ticket, valid]; a
@@ -176,17 +162,3 @@ class JobQueue:
             return False
         ticket.cancelled = True
         return True
-
-    def due(self, now: Optional[float] = None) -> List[QueuedTicket]:
-        """Queued tickets whose primary deadline has passed.
-
-        A pure query: whether an overdue ticket dies or keeps solving for
-        its deduped followers is the *service's* decision, so nothing is
-        marked here.
-        """
-        now = time.monotonic() if now is None else now
-        return [
-            t
-            for t in self._by_id.values()
-            if not t.cancelled and t.expired(now)
-        ]

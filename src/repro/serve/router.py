@@ -14,23 +14,18 @@ cannot tell the difference — and adds the fleet concerns:
 * **Admission control & backpressure.**  Each replica has a bounded
   router-side in-flight budget.  When a shard is saturated, low-priority
   submissions are **shed** with a structured 503 (code ``SHED``) and the
-  rest are pushed back with a 429 carrying ``retry_after_ms`` and a
-  ``Retry-After`` header (code ``RETRY_AFTER``) — an open-loop load
+  rest are pushed back with a 429 carrying ``retry_after_ms`` (code
+  ``RETRY_AFTER``) — an open-loop load
   generator sees explicit signals instead of unbounded queueing.
 * **Health checking & re-hash.**  A background loop polls every replica;
   a dead one is removed from the ring, its unfinished jobs are
   resubmitted to the surviving shards **under their original router job
   ids** (no ticket is lost), and a supervisor (when attached) restarts
   the process and re-adds it to the ring.
-* **Warm-state reuse.**  The replicas exchange exported solve state
-  through the shared cache directory (see
-  :class:`~repro.serve.store.WarmStateStore`); the router's health
-  report aggregates the resulting ``warm_imports`` so cross-replica
-  reuse is observable at the front door.
 
 The router never solves anything and keeps no persistent state: every
-mapping result, cache entry and warm seed lives in the replicas and the
-shared store.
+mapping result and cache entry lives in the replicas and the shared
+store.
 """
 
 from __future__ import annotations
@@ -49,17 +44,15 @@ from urllib.parse import urlsplit
 from ..engine.cache import canonical_hash
 from ..io.serve import (
     TERMINAL_STATES,
-    WIRE_VERSION,
     HealthReport,
     JobStatus,
     JobSubmission,
 )
-from .protocol import HttpRequest, error_response, json_response, parse_json_body
+from .protocol import HttpError
 from .server import BaseHttpServer
 
 __all__ = [
     "HashRing",
-    "RouterError",
     "ReplicaUnreachable",
     "RouterService",
     "RouterServer",
@@ -97,19 +90,7 @@ def routing_key(submission: JobSubmission) -> str:
     return canonical_hash({key: wire.get(key) for key in _ROUTING_FIELDS})
 
 
-class RouterError(Exception):
-    """A request the router refuses; carries the structured error parts."""
-
-    def __init__(
-        self, status: int, message: str, code: str = "", **extra: Any
-    ) -> None:
-        super().__init__(message)
-        self.status = status
-        self.code = code
-        self.extra = extra
-
-
-class ReplicaUnreachable(RouterError):
+class ReplicaUnreachable(HttpError):
     """A replica did not answer (connect failure, timeout, bad bytes)."""
 
     def __init__(self, name: str, message: str) -> None:
@@ -353,7 +334,7 @@ class RouterService:
             for replica in self.replicas.values():
                 try:
                     await self._request(replica, "POST", "/v1/shutdown", {})
-                except RouterError:
+                except HttpError:
                     pass
             await self.supervisor.stop()
 
@@ -382,7 +363,7 @@ class RouterService:
         for index, key in enumerate(keys):
             target = self.ring.route(key)
             if target is None:
-                raise RouterError(
+                raise HttpError(
                     503, "no healthy replicas", code="NO_REPLICAS"
                 )
             plan.setdefault(target, []).append(index)
@@ -397,14 +378,14 @@ class RouterService:
                 lowest = min(submissions[i].priority for i in indices)
                 if lowest < self.shed_priority:
                     self.counters["shed"] += len(indices)
-                    raise RouterError(
+                    raise HttpError(
                         503,
                         f"shard {name} is saturated; low-priority work shed",
                         code="SHED",
                         replica=name,
                     )
                 self.counters["backpressure"] += len(indices)
-                raise RouterError(
+                raise HttpError(
                     429,
                     f"shard {name} is saturated; retry later",
                     code="RETRY_AFTER",
@@ -421,7 +402,7 @@ class RouterService:
                 replica, "POST", "/v1/jobs", body
             )
             if status >= 400 or not isinstance(document, list):
-                raise RouterError(
+                raise HttpError(
                     status if status >= 400 else 502,
                     self._error_text(document, f"replica {name} refused"),
                     code=self._error_code(document, "REPLICA_ERROR"),
@@ -480,29 +461,22 @@ class RouterService:
                 replica.inflight = max(0, replica.inflight - 1)
         return JobStatus.from_wire(job.last)
 
-    async def result(self, router_id: str) -> Dict[str, Any]:
-        """The finished job's result document (raises RouterError else)."""
+    async def result(self, router_id: str) -> Optional[Dict[str, Any]]:
+        """The finished job's result document, fetched from its replica.
+
+        ``None`` for an unknown job; a replica that cannot produce the
+        document raises :class:`HttpError`.
+        """
         job = self._jobs.get(router_id)
-        if job is None:
-            raise RouterError(404, f"unknown job {router_id!r}")
-        status = await self.status(router_id)
-        if status is None or status.state != "done":
-            state = "unknown" if status is None else status.state
-            raise RouterError(
-                409,
-                f"job {router_id!r} is {state}, not done",
-                code="NOT_DONE",
-                job=None if status is None else status.to_wire(),
-            )
-        replica = self.replicas.get(job.replica)
+        replica = None if job is None else self.replicas.get(job.replica)
         if replica is None:
-            raise RouterError(404, f"result of job {router_id!r} is gone")
+            return None
         http_status, document = await self._request(
             replica, "GET", f"/v1/jobs/{job.replica_job_id}/result"
         )
         if http_status != 200 or not isinstance(document, dict):
             self.counters["proxy_errors"] += 1
-            raise RouterError(
+            raise HttpError(
                 http_status if http_status >= 400 else 502,
                 self._error_text(
                     document, f"replica {job.replica} lost the result"
@@ -543,14 +517,6 @@ class RouterService:
             *(self._poll_replica(r) for r in self.replicas.values())
         )
         fleet: Dict[str, int] = {}
-        warm: Dict[str, int] = {
-            "exports": 0,
-            "reuses": 0,
-            "imports": 0,
-            "evictions": 0,
-            "similar_imports": 0,
-            "similar_rejects": 0,
-        }
         summaries: List[Dict[str, Any]] = []
         for replica, report in zip(self.replicas.values(), reports):
             summary: Dict[str, Any] = {
@@ -565,10 +531,6 @@ class RouterService:
                 for key, value in counters.items():
                     if isinstance(value, int):
                         fleet[key] = fleet.get(key, 0) + value
-                store = report.store or {}
-                for key, value in (store.get("warm") or {}).items():
-                    if key in warm:
-                        warm[key] += int(value)
                 summary["counters"] = dict(counters)
                 summary["queue_depth"] = report.queue_depth
                 summary["workers"] = report.workers
@@ -593,7 +555,6 @@ class RouterService:
                 "shed_priority": self.shed_priority,
                 "healthy_replicas": healthy,
                 "fleet": fleet,
-                "warm": warm,
                 "shard_counts": {
                     r.name: r.routed for r in self.replicas.values()
                 },
@@ -785,81 +746,7 @@ class RouterServer(BaseHttpServer):
         port: int = 8347,
         request_timeout: float = 30.0,
     ) -> None:
-        super().__init__(host=host, port=port, request_timeout=request_timeout)
+        super().__init__(
+            router, host=host, port=port, request_timeout=request_timeout
+        )
         self.router = router
-
-    async def _start_service(self) -> None:
-        await self.router.start()
-
-    async def _stop_service(self) -> None:
-        await self.router.stop()
-
-    async def _route(self, request: HttpRequest) -> Tuple[int, bytes]:
-        path, method = request.path.rstrip("/") or "/", request.method
-        try:
-            if path == "/healthz":
-                if method != "GET":
-                    return error_response(405, "healthz supports GET only")
-                report = await self.router.health_report()
-                return json_response(200, report.to_wire())
-
-            if path == "/v1/jobs":
-                if method != "POST":
-                    return error_response(405, "submit jobs with POST /v1/jobs")
-                return await self._submit(parse_json_body(request))
-
-            if path == "/v1/shutdown":
-                if method != "POST":
-                    return error_response(405, "shutdown with POST /v1/shutdown")
-                asyncio.get_running_loop().call_soon(self.request_shutdown)
-                return json_response(
-                    202,
-                    {"kind": "shutdown", "v": WIRE_VERSION,
-                     "status": "shutting down"},
-                )
-
-            if path.startswith("/v1/jobs/"):
-                remainder = path[len("/v1/jobs/"):]
-                if remainder.endswith("/result"):
-                    if method != "GET":
-                        return error_response(405, "fetch results with GET")
-                    document = await self.router.result(
-                        remainder[: -len("/result")]
-                    )
-                    return json_response(200, {"v": WIRE_VERSION, **document})
-                if method == "GET":
-                    status = await self.router.status(remainder)
-                    if status is None:
-                        return error_response(404, f"unknown job {remainder!r}")
-                    return json_response(200, status.to_wire())
-                if method == "DELETE":
-                    status = await self.router.cancel(remainder)
-                    if status is None:
-                        return error_response(404, f"unknown job {remainder!r}")
-                    if status.state != "cancelled":
-                        return error_response(
-                            409,
-                            f"job {remainder!r} is {status.state} and can no "
-                            "longer be cancelled",
-                            code="NOT_CANCELLABLE",
-                            job=status.to_wire(),
-                        )
-                    return json_response(200, status.to_wire())
-                return error_response(
-                    405, "job endpoints support GET and DELETE"
-                )
-
-            return error_response(404, f"unknown path {path!r}")
-        except RouterError as exc:
-            return error_response(exc.status, str(exc), code=exc.code,
-                                  **exc.extra)
-
-    async def _submit(self, body: Any) -> Tuple[int, bytes]:
-        if isinstance(body, list):
-            submissions = [JobSubmission.from_wire(entry) for entry in body]
-            statuses = await self.router.submit_many(submissions)
-            return json_response(
-                202, [status.to_wire() for status in statuses]
-            )
-        status = await self.router.submit(JobSubmission.from_wire(body))
-        return json_response(202, status.to_wire())

@@ -17,31 +17,41 @@ Errors are structured JSON (:func:`repro.serve.protocol.error_response`):
 400 for malformed input — including a missing or future wire version,
 which additionally carries ``supported_versions`` — 404 for unknown
 ids/paths, 405 for bad methods, 409 for state conflicts and 500 for bugs.
+Every refusal is raised as a :class:`~repro.serve.protocol.HttpError`
+and turned into its response in one place.
 
 :class:`BaseHttpServer` holds the transport plumbing (bind, accept,
-request framing, error normalisation); :class:`MappingServer` adds the
-job-API routes over one :class:`MappingService`.  The sharded router
-(:mod:`repro.serve.router`) subclasses the same base so both tiers speak
-byte-identical HTTP.
+request framing, error normalisation) and the one route table, which
+calls an async job API: ``submit``, ``submit_many``, ``status``,
+``result``, ``cancel`` and ``health_report``.  :class:`MappingServer`
+serves it from one in-process :class:`MappingService`; the sharded
+router (:mod:`repro.serve.router`) serves it from its fleet, so both
+tiers speak byte-identical HTTP.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..io.serialize import SerializationError
-from ..io.serve import WIRE_VERSION, JobSubmission, WireVersionError
+from ..io.serve import (
+    WIRE_VERSION,
+    HealthReport,
+    JobStatus,
+    JobSubmission,
+    WireVersionError,
+)
 from .protocol import (
+    HttpError,
     HttpRequest,
-    ProtocolError,
     error_response,
     format_response,
     json_response,
     parse_json_body,
     read_request,
 )
-from .service import MappingService, ServeError
+from .service import MappingService
 
 __all__ = ["BaseHttpServer", "MappingServer"]
 
@@ -49,19 +59,21 @@ __all__ = ["BaseHttpServer", "MappingServer"]
 class BaseHttpServer:
     """Shared asyncio TCP/HTTP shell of the serve tier's front ends.
 
-    Subclasses implement :meth:`_route` (and optionally the service
-    lifecycle hooks); the base class owns connection handling, request
-    framing with a stall timeout, and the mapping of exception classes to
-    structured HTTP errors — the part that must behave identically on a
-    replica and on the router.
+    ``jobs`` is the async job API the routes call (and that the server
+    starts and stops with itself); the base class owns connection
+    handling, request framing with a stall timeout, the route table and
+    the mapping of exception classes to structured HTTP errors — the
+    part that must behave identically on a replica and on the router.
     """
 
     def __init__(
         self,
+        jobs: Any,
         host: str = "127.0.0.1",
         port: int = 8347,
         request_timeout: float = 30.0,
     ) -> None:
+        self.jobs = jobs
         self.host = host
         self.port = port
         #: Seconds a connection may take to deliver its full request.  A
@@ -72,24 +84,17 @@ class BaseHttpServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
 
-    # ------------------------------------------------------- lifecycle hooks
-    async def _start_service(self) -> None:
-        """Bring up whatever the routes dispatch onto (before binding)."""
-
-    async def _stop_service(self) -> None:
-        """Tear down what :meth:`_start_service` brought up."""
-
     # ------------------------------------------------------------- lifecycle
     async def start(self) -> None:
-        """Start the backing service and begin accepting connections."""
-        await self._start_service()
+        """Start the job API and begin accepting connections."""
+        await self.jobs.start()
         try:
             self._server = await asyncio.start_server(
                 self._handle_connection, host=self.host, port=self.port
             )
         except OSError:
             # Bind failed: don't leak what we just started.
-            await self._stop_service()
+            await self.jobs.stop()
             raise
         # Port 0 binds an ephemeral port; reflect the real one.
         sockets = self._server.sockets or []
@@ -110,7 +115,7 @@ class BaseHttpServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self._stop_service()
+        await self.jobs.stop()
 
     def request_shutdown(self) -> None:
         self._shutdown.set()
@@ -132,8 +137,10 @@ class BaseHttpServer:
             # request (port scan, TCP health probe) — answer nothing.
         except asyncio.TimeoutError:
             pass  # stalled peer: close without a response
-        except ProtocolError as exc:
-            response = error_response(exc.status, str(exc), code="BAD_REQUEST")
+        except HttpError as exc:
+            response = error_response(
+                exc.status, str(exc), code=exc.code, **exc.extra
+            )
         except WireVersionError as exc:
             # The one 400 a well-behaved future client must be able to
             # machine-read: carries what this server *does* speak.
@@ -143,7 +150,7 @@ class BaseHttpServer:
                 code="UNSUPPORTED_VERSION",
                 supported_versions=list(exc.supported_versions),
             )
-        except (ServeError, SerializationError) as exc:
+        except SerializationError as exc:
             response = error_response(400, str(exc), code="BAD_REQUEST")
         except Exception as exc:  # never kill the acceptor on a bug
             response = error_response(
@@ -159,8 +166,124 @@ class BaseHttpServer:
             except (ConnectionError, OSError):
                 pass
 
+    # ---------------------------------------------------------------- routes
     async def _route(self, request: HttpRequest) -> Tuple[int, bytes]:
-        raise NotImplementedError
+        path, method = request.path.rstrip("/") or "/", request.method
+
+        if path == "/healthz":
+            if method != "GET":
+                raise HttpError(405, "healthz supports GET only")
+            report = await self.jobs.health_report()
+            return json_response(200, report.to_wire())
+
+        if path == "/v1/jobs":
+            if method != "POST":
+                raise HttpError(405, "submit jobs with POST /v1/jobs")
+            body = parse_json_body(request)
+            if isinstance(body, list):
+                # Deserialise and validate the whole list before admitting
+                # anything: a bad entry mid-batch must 400 without leaving
+                # earlier entries enqueued as orphans the client has no id
+                # for.
+                submissions = [JobSubmission.from_wire(entry) for entry in body]
+                statuses = await self.jobs.submit_many(submissions)
+                return json_response(
+                    202, [status.to_wire() for status in statuses]
+                )
+            status = await self.jobs.submit(JobSubmission.from_wire(body))
+            return json_response(202, status.to_wire())
+
+        if path == "/v1/shutdown":
+            if method != "POST":
+                raise HttpError(405, "shutdown with POST /v1/shutdown")
+            # Acknowledge first; serve_forever tears down right after.
+            asyncio.get_running_loop().call_soon(self.request_shutdown)
+            return json_response(
+                202, {"kind": "shutdown", "v": WIRE_VERSION,
+                      "status": "shutting down"}
+            )
+
+        if not path.startswith("/v1/jobs/"):
+            raise HttpError(404, f"unknown path {path!r}")
+        job_id = path[len("/v1/jobs/"):]
+        if job_id.endswith("/result"):
+            if method != "GET":
+                raise HttpError(405, "fetch results with GET")
+            return await self._result(job_id[: -len("/result")])
+        if method == "GET":
+            status = _known(job_id, await self.jobs.status(job_id))
+            return json_response(200, status.to_wire())
+        if method == "DELETE":
+            status = _known(job_id, await self.jobs.cancel(job_id))
+            if status.state != "cancelled":
+                raise HttpError(
+                    409,
+                    f"job {job_id!r} is {status.state} and can no longer be "
+                    "cancelled",
+                    code="NOT_CANCELLABLE",
+                    job=status.to_wire(),
+                )
+            return json_response(200, status.to_wire())
+        raise HttpError(405, "job endpoints support GET and DELETE")
+
+    async def _result(self, job_id: str) -> Tuple[int, bytes]:
+        status = _known(job_id, await self.jobs.status(job_id))
+        if status.state != "done":
+            raise HttpError(
+                409,
+                f"job {job_id!r} is {status.state}, not done",
+                code="NOT_DONE",
+                job=status.to_wire(),
+            )
+        document = await self.jobs.result(job_id)
+        if document is None:
+            raise HttpError(
+                404, f"result of job {job_id!r} is no longer retained"
+            )
+        # The result is the engine's own job_result document, stamped with
+        # the wire version here: all traffic carries "v", but the engine
+        # schema stays the single source of truth for its fields.
+        return json_response(200, {"v": WIRE_VERSION, **document})
+
+
+def _known(job_id: str, status: Optional[JobStatus]) -> JobStatus:
+    """``status``, or the 404 of a job id the job API does not know."""
+    if status is None:
+        raise HttpError(404, f"unknown job {job_id!r}")
+    return status
+
+
+class _ServiceJobs:
+    """The async job API of the routes over one in-process service."""
+
+    def __init__(self, service: MappingService) -> None:
+        self.service = service
+
+    async def start(self) -> None:
+        await self.service.start()
+
+    async def stop(self) -> None:
+        await self.service.stop()
+
+    async def submit(self, submission: JobSubmission) -> JobStatus:
+        return self.service.submit(submission)
+
+    async def submit_many(
+        self, submissions: List[JobSubmission]
+    ) -> List[JobStatus]:
+        return self.service.submit_many(submissions)
+
+    async def status(self, job_id: str) -> Optional[JobStatus]:
+        return self.service.status(job_id)
+
+    async def result(self, job_id: str) -> Optional[Dict[str, Any]]:
+        return self.service.result(job_id)
+
+    async def cancel(self, job_id: str) -> Optional[JobStatus]:
+        return self.service.cancel(job_id)
+
+    async def health_report(self) -> HealthReport:
+        return self.service.health_report()
 
 
 class MappingServer(BaseHttpServer):
@@ -173,104 +296,10 @@ class MappingServer(BaseHttpServer):
         port: int = 8347,
         request_timeout: float = 30.0,
     ) -> None:
-        super().__init__(host=host, port=port, request_timeout=request_timeout)
+        super().__init__(
+            _ServiceJobs(service),
+            host=host,
+            port=port,
+            request_timeout=request_timeout,
+        )
         self.service = service
-
-    async def _start_service(self) -> None:
-        await self.service.start()
-
-    async def _stop_service(self) -> None:
-        await self.service.stop()
-
-    # ---------------------------------------------------------------- routes
-    async def _route(self, request: HttpRequest) -> Tuple[int, bytes]:
-        path, method = request.path.rstrip("/") or "/", request.method
-
-        if path == "/healthz":
-            if method != "GET":
-                return error_response(405, "healthz supports GET only")
-            return json_response(200, self.service.health_report().to_wire())
-
-        if path == "/v1/jobs":
-            if method != "POST":
-                return error_response(405, "submit jobs with POST /v1/jobs")
-            return self._submit(parse_json_body(request))
-
-        if path == "/v1/shutdown":
-            if method != "POST":
-                return error_response(405, "shutdown with POST /v1/shutdown")
-            # Acknowledge first; serve_forever tears down right after.
-            asyncio.get_running_loop().call_soon(self.request_shutdown)
-            return json_response(
-                202, {"kind": "shutdown", "v": WIRE_VERSION,
-                      "status": "shutting down"}
-            )
-
-        if path.startswith("/v1/jobs/"):
-            remainder = path[len("/v1/jobs/"):]
-            if remainder.endswith("/result"):
-                job_id = remainder[: -len("/result")]
-                if method != "GET":
-                    return error_response(405, "fetch results with GET")
-                return self._result(job_id)
-            job_id = remainder
-            if method == "GET":
-                return self._status(job_id)
-            if method == "DELETE":
-                return self._cancel(job_id)
-            return error_response(405, "job endpoints support GET and DELETE")
-
-        return error_response(404, f"unknown path {path!r}")
-
-    # --------------------------------------------------------------- actions
-    def _submit(self, body: Any) -> Tuple[int, bytes]:
-        if isinstance(body, list):
-            # Deserialise and validate the whole list before admitting
-            # anything: a bad entry mid-batch must 400 without leaving
-            # earlier entries enqueued as orphans the client has no id for.
-            submissions = [JobSubmission.from_wire(entry) for entry in body]
-            statuses = self.service.submit_many(submissions)
-            return json_response(202, [status.to_wire() for status in statuses])
-        status = self.service.submit(JobSubmission.from_wire(body))
-        return json_response(202, status.to_wire())
-
-    def _status(self, job_id: str) -> Tuple[int, bytes]:
-        status = self.service.status(job_id)
-        if status is None:
-            return error_response(404, f"unknown job {job_id!r}")
-        return json_response(200, status.to_wire())
-
-    def _result(self, job_id: str) -> Tuple[int, bytes]:
-        status = self.service.status(job_id)
-        if status is None:
-            return error_response(404, f"unknown job {job_id!r}")
-        if status.state != "done":
-            return error_response(
-                409,
-                f"job {job_id!r} is {status.state}, not done",
-                code="NOT_DONE",
-                job=status.to_wire(),
-            )
-        document = self.service.result(job_id)
-        if document is None:
-            return error_response(
-                404, f"result of job {job_id!r} is no longer retained"
-            )
-        # The result is the engine's own job_result document, stamped with
-        # the wire version here: all traffic carries "v", but the engine
-        # schema stays the single source of truth for its fields.
-        return json_response(200, {"v": WIRE_VERSION, **document})
-
-    def _cancel(self, job_id: str) -> Tuple[int, bytes]:
-        status = self.service.cancel(job_id)
-        if status is None:
-            return error_response(404, f"unknown job {job_id!r}")
-        if status.state != "cancelled":
-            return error_response(
-                409,
-                f"job {job_id!r} is {status.state} and can no longer be "
-                "cancelled",
-                code="NOT_CANCELLABLE",
-                job=status.to_wire(),
-            )
-        return json_response(200, status.to_wire())

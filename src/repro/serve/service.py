@@ -34,18 +34,17 @@ single worker thread and touches no service state.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import itertools
 import math
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 from ..core.objective import CostWeights
 from ..engine import MappingEngine, MappingJob
-from ..engine.jobs import payload_cache_key, warm_state_key
-from ..ilp import SolveContext, resolve_backend
+from ..engine.jobs import payload_cache_key
+from ..ilp import resolve_backend
 from ..ilp.errors import ModelError
 from ..io.serialize import SerializationError, board_from_dict, design_from_dict
 from ..io.serve import (
@@ -58,20 +57,11 @@ from ..io.serve import (
     JobStatus,
     JobSubmission,
 )
+from .protocol import HttpError
 from .queue import JobQueue, QueuedTicket
-from .signature import (
-    signatures_compatible,
-    signatures_equal_shape,
-    structural_signature,
-)
-from .store import TIER_MEMORY, ResultStore, WarmStateStore
+from .store import TIER_MEMORY, ResultStore
 
-__all__ = [
-    "ServeError",
-    "MappingService",
-    "ReplicaSupervisor",
-    "warm_state_key",  # re-exported from repro.engine.jobs
-]
+__all__ = ["ServeError", "MappingService", "ReplicaSupervisor"]
 
 #: Finished job records (and their result documents) retained for client
 #: pickup; the oldest fall off first.
@@ -90,8 +80,11 @@ _LATENCY_STAGES = (
 )
 
 
-class ServeError(Exception):
+class ServeError(HttpError):
     """A submission the service refuses (bad board/design/solver/mode)."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(400, message, code="BAD_REQUEST")
 
 
 def _elapsed_ms(start: Optional[float], end: Optional[float]) -> Optional[float]:
@@ -129,7 +122,6 @@ class MappingService:
         mp_context: Optional[str] = None,
         engine: Optional[MappingEngine] = None,
         instance_name: str = "",
-        warm_sharing: bool = False,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -157,18 +149,9 @@ class MappingService:
         self.max_batch = max_batch
         self.store = ResultStore(memory_entries=memory_entries, disk=engine.cache)
         self.record_entries = max(1, record_entries)
-        #: This replica's name in a sharded deployment (stamps warm-state
-        #: exports and the health report); empty for a standalone service.
+        #: This replica's name in a sharded deployment (labels the health
+        #: report); empty for a standalone service.
         self.instance = instance_name
-        #: Cross-replica warm-state exchange, enabled for sharded
-        #: deployments whose replicas share one cache directory.  Exact
-        #: pipeline jobs export their final chain context here and seed
-        #: their solves from whatever a sibling exported first.
-        self.warm: Optional[WarmStateStore] = None
-        if warm_sharing and self.engine.cache is not None:
-            self.warm = WarmStateStore(
-                self.engine.cache.directory / "_warm", instance=instance_name
-            )
 
         self._ids = itertools.count(1)
         self._records: Dict[str, JobStatus] = {}
@@ -191,11 +174,6 @@ class MappingService:
             "result_error": 0,
             "result_timeout": 0,
             "fast_jobs": 0,
-            "warm_seeded": 0,
-            "warm_imports": 0,
-            "warm_exports": 0,
-            "similar_imports": 0,
-            "similar_rejects": 0,
         }
         self.batch_sizes: deque = deque(maxlen=_METRICS_WINDOW)
         self.job_records: deque = deque(maxlen=_METRICS_WINDOW)
@@ -343,43 +321,12 @@ class MappingService:
         deadline_at = None
         if submission.deadline_ms is not None:
             deadline_at = time.monotonic() + submission.deadline_ms / 1000.0
-        # Warm seeding happens strictly *after* the admission key was
-        # computed from the unseeded payload: whether a warm seed is
-        # available varies per replica and over time, and must never
-        # change which submissions dedupe onto each other.  Only exact
-        # pipeline jobs participate — a fast-mode solve seeded with an
-        # imported incumbent could legitimately return a different
-        # (still-certified) mapping, and served fingerprints must stay
-        # identical to the direct ``repro batch`` path.
-        warm_key = ""
-        signature: Optional[Dict[str, Any]] = None
-        if self.warm is not None and job.mode == "pipeline":
-            warm_key = warm_state_key(payload)
-            signature = structural_signature(payload)
-            warm = self.warm.get(warm_key)
-            if warm is None:
-                # Exact miss: fall back to the structurally nearest
-                # compatible neighbor's state (near-duplicate traffic).
-                warm = self._similar_seed(payload, signature, warm_key)
-            if warm is not None:
-                self.counters["warm_seeded"] += 1
-                if warm.get("source") != self.instance:
-                    self.counters["warm_imports"] += 1
-                job = dataclasses.replace(
-                    job,
-                    chain_context=warm["chain_context"],
-                    export_context=True,
-                )
-            else:
-                job = dataclasses.replace(job, export_context=True)
         ticket = QueuedTicket(
             job_id=job_id,
             mapping_job=job,
             cache_key=key,
             priority=submission.priority,
             deadline_at=deadline_at,
-            warm_key=warm_key,
-            signature=signature,
         )
         self._inflight[key] = ticket
         self._ticket_for[job_id] = ticket
@@ -444,15 +391,6 @@ class MappingService:
         """Typed liveness/diagnostics report of the ``/healthz`` endpoint."""
         self._sweep_expired()
         sizes = list(self.batch_sizes)
-        store_stats = self.store.stats()
-        if self.warm is not None:
-            # The store counts the exchange (exports/reuses/imports/
-            # evictions); the service owns the similarity-path verdicts.
-            store_stats["warm"] = {
-                **self.warm.stats(),
-                "similar_imports": self.counters["similar_imports"],
-                "similar_rejects": self.counters["similar_rejects"],
-            }
         return HealthReport(
             status="ok",
             role="service",
@@ -461,7 +399,7 @@ class MappingService:
             inflight=len(self._inflight),
             workers=self.engine.jobs,
             counters=dict(self.counters),
-            store=store_stats,
+            store=self.store.stats(),
             details={
                 "instance": self.instance,
                 "mp_context": self.engine.mp_context,
@@ -542,57 +480,6 @@ class MappingService:
             )
         except (TypeError, ValueError) as exc:
             raise ServeError(f"bad submission: {exc}") from exc
-
-    def _similar_seed(
-        self,
-        payload: Mapping[str, Any],
-        signature: Optional[Dict[str, Any]],
-        warm_key: str,
-    ) -> Optional[Dict[str, Any]]:
-        """Seed document transplanted from the nearest compatible neighbor.
-
-        The similarity path of the warm-state store: on an exact-identity
-        miss, rank the stored entries by structural-signature similarity,
-        guard the best candidate (hard-compatibility bucket, SOS-layout
-        agreement, dimension check for the basis), and transplant the
-        transferable slice of its chain context onto this job's model.
-        Every guard failure is a *silent cold fallback* — counted in
-        ``similar_rejects``, never an error — and a successful transplant
-        counts in ``similar_imports``.  Served mappings stay
-        fingerprint-identical either way: imported seeds only steer
-        solver effort, the per-structure admissibility and
-        strict-improvement guards downstream decide adoption.
-        """
-        if self.warm is None or signature is None:
-            return None
-        neighbor = self.warm.find_similar(signature, exclude=(warm_key,))
-        if neighbor is None:
-            return None
-        neighbor_signature = neighbor.get("signature") or {}
-        if not signatures_compatible(signature, neighbor_signature):
-            # A sketch collision whose SOS layouts disagree: same-named
-            # structures with different geometry must never transplant.
-            self.counters["similar_rejects"] += 1
-            return None
-        design = payload.get("design") or {}
-        board = payload.get("board") or {}
-        chain = SolveContext.transplant_chain_dict(
-            neighbor.get("chain_context") or {},
-            structures=[
-                entry.get("name")
-                for entry in design.get("data_structures") or []
-            ],
-            bank_types=[
-                bank.get("name") for bank in board.get("bank_types") or []
-            ],
-            keep_basis=signatures_equal_shape(signature, neighbor_signature),
-        )
-        if chain is None:
-            # Dimension/overlap mismatch left nothing transferable.
-            self.counters["similar_rejects"] += 1
-            return None
-        self.counters["similar_imports"] += 1
-        return {"source": neighbor.get("source"), "chain_context": chain}
 
     async def _dispatch_loop(self) -> None:
         loop = asyncio.get_running_loop()
@@ -705,21 +592,6 @@ class MappingService:
     def _finish(self, ticket: QueuedTicket, result) -> None:
         document = result.to_dict()
         self.store.put(ticket.cache_key, document)
-        if (
-            self.warm is not None
-            and ticket.warm_key
-            and result.status == "ok"
-            and isinstance(document.get("chain_context"), dict)
-        ):
-            try:
-                if self.warm.put(
-                    ticket.warm_key,
-                    document["chain_context"],
-                    signature=ticket.signature,
-                ):
-                    self.counters["warm_exports"] += 1
-            except OSError:
-                pass  # warm sharing is an optimisation, never a failure
         if self._inflight.get(ticket.cache_key) is ticket:
             del self._inflight[ticket.cache_key]
         if result.cache_hit:
@@ -802,7 +674,7 @@ class ReplicaSupervisor:
     Each replica is a full single-process :class:`MappingService` (own
     engine, own event loop) started as ``python -m repro serve --port 0``
     with a shared ``--cache-dir`` — the shared key space that makes
-    cross-shard dedupe and warm-state exchange work.  The supervisor
+    cross-shard dedupe work.  The supervisor
     parses each replica's "serving mapping jobs on http://..." banner to
     learn its ephemeral port, keeps draining its stdout, and can restart
     a replica the router declared dead.

@@ -1,4 +1,4 @@
-"""Result and warm-state stores of the mapping serve tier.
+"""Result store of the mapping serve tier.
 
 Finished results are kept under their canonical cache key (the engine's
 :func:`~repro.engine.jobs.payload_cache_key`) in two tiers:
@@ -15,29 +15,17 @@ Finished results are kept under their canonical cache key (the engine's
 
 The store only ever holds *terminal, deterministic* outcomes (``ok`` and
 ``failed``); timeouts and crashes are never memoized.
-
-:class:`WarmStateStore` is the second shared-directory channel: replicas
-publish the exported :meth:`~repro.ilp.SolveContext.chain_dict` of
-finished exact solves under a *warm key* (the job identity minus
-mode/gap/timeout), and any replica admitting related work seeds its solve
-from a sibling's state — cross-replica warm reuse without any
-replica-to-replica connection.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from collections import OrderedDict
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 from ..engine.cache import ResultCache
 from ..engine.jobs import STATUS_FAILED, STATUS_OK
-from .signature import signature_similarity
 
-__all__ = ["ResultStore", "WarmStateStore"]
+__all__ = ["ResultStore"]
 
 #: Tier names returned by :meth:`ResultStore.lookup`.
 TIER_MEMORY = "memory"
@@ -99,23 +87,12 @@ class ResultStore:
 
         Returns ``True`` when stored; non-deterministic outcomes
         (timeout, crash) are refused so a transiently broken job is
-        re-attempted on resubmission.
-
-        Deterministic outcomes are also **written through** to the disk
-        tier under ``key`` when the engine did not already store them
-        there itself (it writes under the key of the payload it actually
-        executed — for a warm-seeded solve that differs from the
-        submission's admission key, and without the write-through a
-        sibling replica could never dedupe against it).
+        re-attempted on resubmission.  The disk tier needs no write here:
+        the engine stores every result it solves under the same key.
         """
         if document.get("status") not in (STATUS_OK, STATUS_FAILED):
             return False
         self._remember(key, document)
-        if self.disk is not None and document.get("cache_key") != key:
-            try:
-                self.disk.put(key, document)
-            except OSError:
-                pass  # a full/readonly disk must not fail the job
         return True
 
     def _remember(self, key: str, document: Dict[str, Any]) -> None:
@@ -132,221 +109,4 @@ class ResultStore:
             "memory_misses": self.misses,
             "store_disk_hits": self.disk_hits,
             "disk": self.disk.stats() if self.disk is not None else None,
-        }
-
-
-class WarmStateStore:
-    """Shared directory of exported solve state, keyed by job identity.
-
-    Lives in a ``_warm/`` subdirectory of the engine cache directory (the
-    result cache only globs ``*.json`` at its top level, so the two never
-    interfere).  Entries are small JSON documents::
-
-        {"warm_key": ..., "source": "<instance>",
-         "signature": {...}, "chain_context": {...}}
-
-    ``source`` is the writing instance's name, which is how a reader
-    distinguishes *reusing its own* state from importing a sibling
-    replica's — the ``warm_imports`` counter that proves cross-replica
-    reuse in the scale benchmark.  ``signature`` is the exporter's
-    :func:`~repro.serve.signature.structural_signature`, which is what
-    :meth:`find_similar` ranks candidates by when an exact lookup
-    misses — the similarity-keyed warm path for near-duplicate traffic.
-
-    Writes are atomic (temp file + :func:`os.replace`) and first-writer
-    wins: an entry is never overwritten, because any exporter of the same
-    warm key solved the same identity and their states are equivalent.
-    ``max_entries`` bounds the shared directory: past it, the oldest
-    entries (by mtime) are evicted — warm state is a rolling window of
-    *recent* solves, not an archive.
-    """
-
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        instance: str = "",
-        max_entries: Optional[int] = None,
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None)")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.instance = instance
-        self.max_entries = max_entries
-        self.exports = 0
-        self.reuses = 0
-        self.imports = 0
-        self.evictions = 0
-        #: warm_key -> signature (``None`` for entries exported without
-        #: one).  Entries are immutable once written, so a parsed
-        #: signature never goes stale; the index is refreshed lazily from
-        #: the directory listing so entries exported by *sibling*
-        #: replicas become candidates too.
-        self._signatures: Dict[str, Optional[Dict[str, Any]]] = {}
-
-    def path_for(self, warm_key: str) -> Path:
-        return self.directory / f"{warm_key}.json"
-
-    def _load(self, warm_key: str) -> Optional[Dict[str, Any]]:
-        """Parse one entry; ``None`` on miss/corruption.  No counters."""
-        try:
-            document = json.loads(
-                self.path_for(warm_key).read_text(encoding="utf-8")
-            )
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(document, dict) or not isinstance(
-            document.get("chain_context"), dict
-        ):
-            return None
-        return document
-
-    def get(self, warm_key: str) -> Optional[Dict[str, Any]]:
-        """The warm document for ``warm_key``; ``None`` on miss/corruption.
-
-        A readable hit bumps :attr:`reuses`, and additionally
-        :attr:`imports` when the entry was written by a different
-        instance.
-        """
-        document = self._load(warm_key)
-        if document is None:
-            return None
-        self.reuses += 1
-        if document.get("source") != self.instance:
-            self.imports += 1
-        return document
-
-    def _refresh_index(self) -> None:
-        """Sync the signature index with the (shared) directory listing."""
-        try:
-            names = {path.stem for path in self.directory.glob("*.json")}
-        except OSError:
-            return
-        for stale in set(self._signatures) - names:
-            del self._signatures[stale]
-        for warm_key in names - set(self._signatures):
-            document = self._load(warm_key)
-            signature = document.get("signature") if document else None
-            self._signatures[warm_key] = (
-                signature if isinstance(signature, dict) else None
-            )
-
-    def find_similar(
-        self,
-        signature: Optional[Mapping[str, Any]],
-        min_similarity: float = 0.5,
-        exclude: Iterable[str] = (),
-    ) -> Optional[Dict[str, Any]]:
-        """The stored entry structurally nearest to ``signature``.
-
-        Ranks every signed entry (own exports and siblings' alike) by
-        :func:`~repro.serve.signature.signature_similarity` and returns
-        the best document at or above ``min_similarity`` — ties break on
-        the lexicographically smallest warm key, so concurrent replicas
-        pick the same neighbor.  Returns ``None`` when nothing qualifies.
-        The caller still owns the compatibility/transplant decision (and
-        its ``similar_imports`` / ``similar_rejects`` accounting); this
-        method bumps no counters.
-        """
-        if not isinstance(signature, Mapping) or not signature.get("bucket"):
-            return None
-        self._refresh_index()
-        excluded = set(exclude)
-        ranked: List[Tuple[float, str]] = []
-        for warm_key, candidate in self._signatures.items():
-            if warm_key in excluded or not candidate:
-                continue
-            score = signature_similarity(signature, candidate)
-            if score >= min_similarity:
-                ranked.append((-score, warm_key))
-        for _, warm_key in sorted(ranked):
-            document = self._load(warm_key)
-            if document is not None:
-                return document
-            # Evicted/corrupted between indexing and now: drop and move on.
-            self._signatures.pop(warm_key, None)
-        return None
-
-    def put(
-        self,
-        warm_key: str,
-        chain_context: Dict[str, Any],
-        signature: Optional[Mapping[str, Any]] = None,
-    ) -> Optional[Path]:
-        """Publish ``chain_context`` under ``warm_key`` (first writer wins)."""
-        path = self.path_for(warm_key)
-        if path.exists():
-            return None
-        document = {
-            "warm_key": warm_key,
-            "source": self.instance,
-            "chain_context": dict(chain_context),
-        }
-        if isinstance(signature, Mapping):
-            document["signature"] = dict(signature)
-        try:
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(self.directory), prefix=".warm-", suffix=".tmp"
-            )
-        except FileNotFoundError:
-            # The shared directory was cleared by another process between
-            # our mkdir and now; recreate and retry once.
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(self.directory), prefix=".warm-", suffix=".tmp"
-            )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self.exports += 1
-        self._signatures[warm_key] = (
-            dict(signature) if isinstance(signature, Mapping) else None
-        )
-        if self.max_entries is not None:
-            self._evict()
-        return path
-
-    def _evict(self) -> None:
-        """Trim the directory down to ``max_entries``, oldest mtime first.
-
-        Tolerant of concurrent writers/evictors on the shared directory:
-        a file another replica removed first is simply skipped.
-        """
-        try:
-            entries = []
-            for path in self.directory.glob("*.json"):
-                try:
-                    entries.append((path.stat().st_mtime, path.name, path))
-                except OSError:
-                    continue
-        except OSError:
-            return
-        excess = len(entries) - self.max_entries
-        if excess <= 0:
-            return
-        for _, _, path in sorted(entries)[:excess]:
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            self.evictions += 1
-            self._signatures.pop(path.stem, None)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json"))
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "exports": self.exports,
-            "reuses": self.reuses,
-            "imports": self.imports,
-            "evictions": self.evictions,
         }

@@ -1,22 +1,20 @@
-"""Unit tests of the serving job queue: priorities, deadlines, cancellation."""
+"""Unit tests of the serving job queue: priorities and cancellation."""
 
 from __future__ import annotations
 
 import asyncio
-import time
 
 import pytest
 
 from repro.serve import JobQueue, QueuedTicket
 
 
-def ticket(job_id: str, priority: int = 0, deadline_at=None) -> QueuedTicket:
+def ticket(job_id: str, priority: int = 0) -> QueuedTicket:
     return QueuedTicket(
         job_id=job_id,
         mapping_job=None,
         cache_key=f"key-{job_id}",
         priority=priority,
-        deadline_at=deadline_at,
     )
 
 
@@ -118,33 +116,6 @@ class TestReprioritize:
         popped = [pop(queue).job_id for _ in range(2)]
         assert popped == ["a", "b"]
         assert queue.get_nowait() is None
-
-
-class TestDeadlines:
-    def test_expired_is_based_on_monotonic_deadline(self):
-        now = time.monotonic()
-        assert ticket("a", deadline_at=now - 0.1).expired()
-        assert not ticket("a", deadline_at=now + 60).expired()
-        assert not ticket("a").expired()
-
-    def test_running_ticket_never_expires(self):
-        stale = ticket("a", deadline_at=time.monotonic() - 1)
-        stale.running = True
-        assert not stale.expired()
-
-    def test_due_returns_overdue_tickets_without_marking(self):
-        queue = JobQueue()
-        queue.put(ticket("fresh", deadline_at=time.monotonic() + 60))
-        queue.put(ticket("stale", deadline_at=time.monotonic() - 1))
-        queue.put(ticket("forever"))
-        due = queue.due()
-        assert [t.job_id for t in due] == ["stale"]
-        # Pure query: the service decides whether an overdue ticket dies
-        # (it may keep solving for deduped followers), so nothing is
-        # cancelled here.
-        assert not due[0].cancelled
-        queue.cancel("stale")
-        assert queue.due() == []
 
 
 class TestTicketBookkeeping:

@@ -22,13 +22,8 @@ from repro.design import (
     matrix_multiply_design,
 )
 from repro.io.serve import JobSubmission
-from repro.serve import MappingServer, MappingService
-from repro.serve.router import (
-    HashRing,
-    RouterError,
-    RouterService,
-    routing_key,
-)
+from repro.serve import HttpError, MappingServer, MappingService
+from repro.serve.router import HashRing, RouterService, routing_key
 
 
 def submission(design=None, **overrides) -> JobSubmission:
@@ -132,7 +127,6 @@ class _Cluster:
                 max_batch=4,
                 cache_dir=str(self.cache_dir),
                 instance_name=name,
-                warm_sharing=True,
             )
             if self.hold:
                 self.gates[name] = _hold_dispatch(service)
@@ -227,7 +221,7 @@ class TestRouterEndToEnd:
                 status = await cluster.router.submit(submission())
                 await cluster.kill("replica-1")
                 final = await cluster.wait_done(status.job_id)
-                with pytest.raises(RouterError) as caught:
+                with pytest.raises(HttpError) as caught:
                     await cluster.router.submit(submission(fft_design()))
                 return final, caught.value
 
@@ -283,11 +277,11 @@ class TestRouterEndToEnd:
             ) as cluster:
                 first = await cluster.router.submit(submission())
                 assert not first.terminal
-                with pytest.raises(RouterError) as shed:
+                with pytest.raises(HttpError) as shed:
                     await cluster.router.submit(
                         submission(fft_design(), priority=-1)
                     )
-                with pytest.raises(RouterError) as backpressure:
+                with pytest.raises(HttpError) as backpressure:
                     await cluster.router.submit(submission(fft_design()))
                 return (
                     shed.value,
@@ -314,7 +308,7 @@ class TestRouterEndToEnd:
                 max_inflight=2,
             ) as cluster:
                 # Three distinct jobs over a budget of two: nothing lands.
-                with pytest.raises(RouterError) as caught:
+                with pytest.raises(HttpError) as caught:
                     await cluster.router.submit_many([
                         submission(fir_filter_design()),
                         submission(matrix_multiply_design()),
@@ -337,34 +331,6 @@ class TestRouterEndToEnd:
         assert error.status == 429
         assert fleet_submitted == 0  # no orphan admissions from the refusal
         assert len(statuses) == 3
-
-    def test_warm_state_flows_between_replicas(self, tmp_path):
-        async def scenario():
-            async with _Cluster(tmp_path / "cache") as cluster:
-                # Same warm identity, two cache keys (different timeout):
-                # whoever solves second seeds from the first one's export.
-                first = await cluster.router.submit(submission())
-                first = await cluster.wait_done(first.job_id)
-                second = await cluster.router.submit(
-                    submission(timeout=240.0)
-                )
-                final = await cluster.wait_done(second.job_id)
-                warm = {"exports": 0, "reuses": 0, "imports": 0}
-                seeded = 0
-                for service in cluster.services:
-                    if service.warm is not None:
-                        for key, value in service.warm.stats().items():
-                            warm[key] = warm.get(key, 0) + value
-                    seeded += service.counters["warm_seeded"]
-                return first, final, warm, seeded
-
-        first, final, warm, seeded = asyncio.run(scenario())
-        assert final.state == "done" and final.result_status == "ok"
-        # The different time budget must not change the mapping itself.
-        assert final.fingerprint == first.fingerprint
-        assert warm["exports"] >= 1
-        assert warm["reuses"] >= 1
-        assert seeded >= 1
 
     def test_router_health_aggregates_the_fleet(self, tmp_path):
         async def scenario():
