@@ -24,11 +24,9 @@ Environment knobs honoured by :func:`run_table3`:
     hits the limit is reported with the limit as a lower bound on its time,
     which is how the "explodes for large problems" behaviour shows up
     without stalling the benchmark run.
-``REPRO_LP_PRICING=<rule>`` / ``REPRO_LP_FACTORIZATION=<mode>``
-    revised-kernel pricing rule (``dantzig``/``partial``/``devex``) and
-    basis representation (``auto``/``dense``/``lu``) for backends that
-    run the built-in kernel; backends without the option (e.g.
-    ``scipy-milp``) ignore them through the schema filter.
+
+The revised kernel's pricing rule and basis representation are not
+harness knobs; ``benchmarks/bench_lp_kernel.py`` compares them directly.
 """
 
 from __future__ import annotations
@@ -142,12 +140,6 @@ class Table3Harness:
 
     def _solver_options(self) -> Dict[str, object]:
         options: Dict[str, object] = {"time_limit": self.time_limit}
-        pricing = os.environ.get("REPRO_LP_PRICING", "").strip()
-        if pricing:
-            options["lp_pricing"] = pricing
-        factorization = os.environ.get("REPRO_LP_FACTORIZATION", "").strip()
-        if factorization:
-            options["lp_factorization"] = factorization
         if not self.presolve:
             # The faithful pre-refactor path: no root presolve, no
             # node-level bound propagation, no incumbent-cutoff filtering.

@@ -4,7 +4,7 @@ The CLI makes the library usable as a standalone tool in a synthesis flow::
 
     python -m repro boards                       # list built-in boards
     python -m repro designs                      # list built-in example designs
-    python -m repro backends                     # list registered ILP backends
+    python -m repro backends                     # list the ILP backends
     python -m repro describe --board virtex-xcv1000
     python -m repro map --board hierarchical --design image-pipeline
     python -m repro map --board my_board.json --design my_design.json \\
@@ -73,7 +73,7 @@ from .explore import (
     list_scenario_families,
     render_explore_report,
 )
-from .ilp import list_backends, resolve_backend
+from .ilp import BACKENDS, resolve_backend
 from .ilp.errors import ModelError as IlpModelError
 from .io import (
     SerializationError,
@@ -136,13 +136,13 @@ def _resolve_board(spec: str) -> Board:
 
 
 def _resolve_solver(name: Optional[str]) -> Optional[str]:
-    """Validate a solver backend name against the registry up front."""
+    """Validate a solver backend name against the backend table up front."""
     if name is None:
         return None
     try:
         resolve_backend(name)
     except IlpModelError as exc:
-        raise CliError(f"{exc}; see 'repro backends' for the registered ones") from exc
+        raise CliError(f"{exc}; see 'repro backends'") from exc
     return name
 
 
@@ -264,39 +264,20 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
-    infos = list_backends()
-    if args.json:
-        print(json.dumps(
-            [
-                {
-                    "name": info.name,
-                    "aliases": list(info.aliases),
-                    "available": info.available,
-                    "capabilities": sorted(info.capabilities),
-                    "options": dict(info.options),
-                    "description": info.description,
-                }
-                for info in infos
-            ],
-            indent=2,
-        ))
-        return EXIT_OK
     rows = [
-        [
-            info.name,
-            "yes" if info.available else "no",
-            ", ".join(info.aliases) or "-",
-            ", ".join(sorted(info.capabilities)),
-        ]
-        for info in infos
+        {"name": name, "available": backend.available(),
+         "description": backend.description}
+        for name, backend in BACKENDS.items()
     ]
+    if args.json:
+        print(json.dumps(rows, indent=2))
+        return EXIT_OK
     print(ascii_table(
-        ["name", "available", "aliases", "capabilities"],
-        rows,
-        title="Registered ILP solver backends",
+        ["name", "available", "description"],
+        [[row["name"], "yes" if row["available"] else "no", row["description"]]
+         for row in rows],
+        title="ILP solver backends",
     ))
-    for info in infos:
-        print(f"  {info.name}: {info.description}")
     return EXIT_OK
 
 
@@ -818,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_designs
     )
 
-    backends = sub.add_parser("backends", help="list registered ILP solver backends")
+    backends = sub.add_parser("backends", help="list the ILP solver backends")
     backends.add_argument("--json", action="store_true",
                           help="emit machine-readable JSON")
     backends.set_defaults(func=_cmd_backends)

@@ -95,7 +95,7 @@ class CompleteMapper:
         self,
         board: Board,
         weights: Optional[CostWeights] = None,
-        solver: object = "auto",
+        solver: Optional[str] = "auto",
         solver_options: Optional[Dict[str, object]] = None,
     ) -> None:
         self.board = board
@@ -253,10 +253,7 @@ class CompleteMapper:
             design, preprocessor=preprocessor, cost_model=cost_model
         )
         start = time.perf_counter()
-        if isinstance(self.solver, str) or self.solver is None:
-            solver = create_solver(self.solver, **self.solver_options)
-        else:
-            solver = self.solver
+        solver = create_solver(self.solver, **self.solver_options)
         solution = solver.solve(artifacts.model)
         elapsed = time.perf_counter() - start
 

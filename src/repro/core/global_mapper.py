@@ -65,9 +65,7 @@ class _GlobalSkeleton:
     coefficients, conflict cliques) and instantiating `Model` objects.  The
     tables depend only on (design, board, weights) — never on the forbidden
     pairs the pipeline's retry loop adds — so they are computed once per
-    design and reused by every re-build; only the cheap `Model` assembly
-    runs again, with forbidden pairs filtered out of the cached candidate
-    lists.
+    design and reused by every build.
     """
 
     def __init__(
@@ -106,10 +104,9 @@ class _GlobalSkeleton:
         else:
             cliques = design.conflicts.conflict_cliques(design.data_structures)
             self.group_sets = [(f"clique{i}", clique) for i, clique in enumerate(cliques)]
-        #: the unfiltered (no forbidden pairs) model, built once per design;
-        #: the solve path reuses it across the pipeline's retries and applies
-        #: forbidden pairs as solver-level variable fixings instead of
-        #: re-assembling the constraint skeleton.
+        #: the model, built once per design; the solve path reuses it
+        #: across the pipeline's retries and applies forbidden pairs as
+        #: solver-level variable fixings.
         self.full_artifacts: Optional["GlobalModelArtifacts"] = None
 
 
@@ -177,8 +174,7 @@ class GlobalMapper:
     weights:
         Objective weights; defaults to normalised equal weighting.
     solver:
-        Solver backend name (see :func:`repro.ilp.create_solver`) or a
-        solver instance.
+        Solver backend name (see :func:`repro.ilp.create_solver`).
     solver_options:
         Keyword options forwarded to the solver factory (time limits etc.).
     capacity_mode:
@@ -206,7 +202,7 @@ class GlobalMapper:
         self,
         board: Board,
         weights: Optional[CostWeights] = None,
-        solver: object = "auto",
+        solver: Optional[str] = "auto",
         solver_options: Optional[Dict[str, object]] = None,
         capacity_mode: str = "strict",
         port_estimation: str = "paper",
@@ -240,19 +236,14 @@ class GlobalMapper:
         design: Design,
         preprocessor: Optional[Preprocessor] = None,
         cost_model: Optional[CostModel] = None,
-        forbidden_pairs: Iterable[Pair] = (),
     ) -> GlobalModelArtifacts:
         """Construct the ILP for ``design`` (without solving it).
 
-        ``forbidden_pairs`` lists (structure, type) combinations that must
-        not be used; the mapping pipeline adds entries here when a detailed
-        mapping attempt fails and the global step must be repeated.  The
-        numeric constraint skeleton (feasibility, port/capacity loads,
-        objective coefficients) is memoized per design, so those re-runs
-        only pay for model assembly.
+        The numeric constraint skeleton (feasibility, port/capacity loads,
+        objective coefficients) is memoized per design, so a rebuild only
+        pays for model assembly.
         """
         skeleton = self._skeleton(design, preprocessor, cost_model)
-        forbidden: Set[Pair] = set(forbidden_pairs)
 
         model = Model(name=f"global[{design.name}@{self.board.name}]")
         z_vars: Dict[Pair, Variable] = {}
@@ -261,16 +252,9 @@ class GlobalMapper:
         for ds, row in zip(design.data_structures, skeleton.candidates):
             row_vars: List[Variable] = []
             for bank_name, _, _ in row:
-                if (ds.name, bank_name) in forbidden:
-                    continue
                 var = model.add_binary(f"Z[{ds.name}|{bank_name}]")
                 z_vars[(ds.name, bank_name)] = var
                 row_vars.append(var)
-            if not row_vars:
-                raise MappingError(
-                    f"structure {ds.name!r} has no admissible bank type left "
-                    "(all candidates are infeasible or forbidden)"
-                )
             model.add_constraint(quicksum(row_vars) == 1, name=f"uniq[{ds.name}]")
             if len(row_vars) > 1:
                 model.add_sos1(row_vars, name=f"sos[{ds.name}]")
@@ -360,7 +344,7 @@ class GlobalMapper:
         preprocessor: Optional[Preprocessor] = None,
         cost_model: Optional[CostModel] = None,
     ) -> GlobalModelArtifacts:
-        """The unfiltered model of ``design``, built once and reused.
+        """The model of ``design``, built once and reused.
 
         This is what the solve path runs against: forbidden pairs never
         remove variables from it, they become solver-level fixings
@@ -808,41 +792,29 @@ class GlobalMapper:
             # it stop at the first incumbent certifying within the gap.
             solver_options.setdefault("gap_limit", self.gap_limit)
 
-        if isinstance(self.solver, str) or self.solver is None:
-            skeleton = self._skeleton(design, preprocessor, cost_model)
-            artifacts = self.full_model_artifacts(design, preprocessor, cost_model)
-            fixed = self._fixed_indices(artifacts, design, forbidden)
-            if fixed:
-                solver_options["fix_zero"] = fixed
-            warm_vector = None
-            if context is not None:
-                solver_options["context"] = context
-                if warm_start is None and forbidden:
-                    warm_start = self._repaired_warm_assignment(
-                        skeleton, artifacts, design, context, forbidden
-                    )
-                seeded = self._seeded_warm_assignment(
-                    skeleton, artifacts, design, context, forbidden, warm_start
+        skeleton = self._skeleton(design, preprocessor, cost_model)
+        artifacts = self.full_model_artifacts(design, preprocessor, cost_model)
+        fixed = self._fixed_indices(artifacts, design, forbidden)
+        if fixed:
+            solver_options["fix_zero"] = fixed
+        warm_vector = None
+        if context is not None:
+            solver_options["context"] = context
+            if warm_start is None and forbidden:
+                warm_start = self._repaired_warm_assignment(
+                    skeleton, artifacts, design, context, forbidden
                 )
-                if seeded is not None:
-                    warm_start, warm_vector = seeded
-            if warm_start is not None:
-                if warm_vector is None:
-                    warm_vector = artifacts.warm_start_vector(warm_start)
-                if warm_vector is not None:
-                    solver_options.setdefault("warm_start", warm_vector)
-            solver: object = create_solver(self.solver, **solver_options)
-        else:
-            # Injected solver instances cannot take per-solve fixings, so
-            # they keep the legacy path: a model with forbidden variables
-            # filtered out at assembly.
-            artifacts = self.build_model(
-                design,
-                preprocessor=preprocessor,
-                cost_model=cost_model,
-                forbidden_pairs=forbidden,
+            seeded = self._seeded_warm_assignment(
+                skeleton, artifacts, design, context, forbidden, warm_start
             )
-            solver = self.solver
+            if seeded is not None:
+                warm_start, warm_vector = seeded
+        if warm_start is not None:
+            if warm_vector is None:
+                warm_vector = artifacts.warm_start_vector(warm_start)
+            if warm_vector is not None:
+                solver_options.setdefault("warm_start", warm_vector)
+        solver = create_solver(self.solver, **solver_options)
 
         start = time.perf_counter()
         solution = solver.solve(artifacts.model)

@@ -39,7 +39,7 @@ class MemoryMapper:
     weights:
         Objective weights (latency / pin-delay / pin-I/O).
     solver:
-        ILP backend name or instance (see :func:`repro.ilp.create_solver`).
+        ILP backend name (see :func:`repro.ilp.create_solver`).
     solver_options:
         Extra keyword options for the solver factory (e.g. ``time_limit``).
     capacity_mode:
@@ -74,7 +74,7 @@ class MemoryMapper:
         self,
         board: Board,
         weights: Optional[CostWeights] = None,
-        solver: object = "auto",
+        solver: Optional[str] = "auto",
         solver_options: Optional[Dict[str, object]] = None,
         capacity_mode: str = "strict",
         port_estimation: str = "paper",
@@ -265,9 +265,7 @@ class MemoryMapper:
 
         Returns one :class:`repro.engine.JobResult` per design, in input
         order.  With ``jobs > 1`` the designs are mapped concurrently in
-        worker processes; results are identical to a serial run.  Requires
-        the mapper to have been configured with a solver backend *name*
-        (instances cannot cross process boundaries).
+        worker processes; results are identical to a serial run.
         """
         from ..engine import (  # local: io -> core cycle
             MODE_FAST,
@@ -276,17 +274,12 @@ class MemoryMapper:
             MappingJob,
         )
 
-        solver = self.solver if isinstance(self.solver, str) else None
-        if solver is None:
-            raise MappingError(
-                "map_batch needs a solver backend name, not a solver instance"
-            )
         batch = [
             MappingJob(
                 board=self.board,
                 design=design,
                 weights=self.weights,
-                solver=solver,
+                solver=self.solver,
                 solver_options=self.solver_options,
                 capacity_mode=self.capacity_mode,
                 port_estimation=self.port_estimation,

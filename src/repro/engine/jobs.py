@@ -63,9 +63,7 @@ class MappingJob:
     board: Board
     design: Design
     weights: CostWeights = field(default_factory=CostWeights)
-    #: Solver backend *name* (registry of :mod:`repro.ilp.backends`); the
-    #: engine refuses instances because jobs must serialise across
-    #: processes.
+    #: Solver backend name (the table of :mod:`repro.ilp.backends`).
     solver: str = "auto"
     solver_options: Mapping[str, Any] = field(default_factory=dict)
     capacity_mode: str = "strict"
@@ -97,11 +95,6 @@ class MappingJob:
     export_context: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.solver, str):
-            raise TypeError(
-                "MappingJob.solver must be a backend name (jobs are shipped "
-                "to worker processes; pass the registry name, not an instance)"
-            )
         if self.mode not in (MODE_PIPELINE, MODE_COMPLETE, MODE_FAST):
             raise ValueError(f"unknown job mode {self.mode!r}")
         if self.gap_limit is not None and self.gap_limit < 0:

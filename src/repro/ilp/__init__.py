@@ -1,10 +1,14 @@
 """Integer linear programming substrate (the reproduction's CPLEX stand-in).
 
 The package provides a small modelling layer (:class:`Model`,
-:class:`~repro.ilp.expr.LinExpr`, :func:`~repro.ilp.expr.quicksum`), a dense
-two-phase simplex LP solver, a best-first branch-and-bound MILP solver with
-SOS-1 branching and primal heuristics, and optional SciPy/HiGHS backends for
-cross-checking.
+:class:`~repro.ilp.expr.LinExpr`, :func:`~repro.ilp.expr.quicksum`), a
+presolve pass, a best-first branch-and-bound MILP solver with SOS-1
+branching and primal heuristics, and its LP kernels: a revised simplex with
+dual warm re-solves, the legacy dense tableau and, when SciPy is present,
+HiGHS (the default ``bnb`` backend's node LPs).  The HiGHS MILP
+(``scipy-milp``) is a backend of its own.  Every solver is picked by name
+from the table in :mod:`repro.ilp.backends` and built by
+:func:`create_solver`.
 
 Typical usage::
 
@@ -38,20 +42,10 @@ from .presolve import (
     PresolveStats,
     presolve,
 )
-from .branch_bound import BnBOptions, BranchAndBoundSolver, create_solver
+from .branch_bound import BnBOptions, BranchAndBoundSolver
 from .diving import DIVE_STRATEGIES, DiveResult, dive, rins_dive
 from .lns import NEIGHBORHOODS, LnsOptions, LnsResult, certified_gap, lns_search
-from .backends import (
-    DEFAULT_BACKEND,
-    BackendInfo,
-    PortfolioBackend,
-    SolverBackend,
-    backend_names,
-    create_backend,
-    list_backends,
-    register_backend,
-    resolve_backend,
-)
+from .backends import BACKENDS, PortfolioBackend, create_solver, resolve_backend
 from .revised_simplex import (
     BasisState,
     RevisedOptions,
@@ -103,16 +97,10 @@ __all__ = [
     "LnsResult",
     "NEIGHBORHOODS",
     "certified_gap",
-    # backend registry
-    "SolverBackend",
-    "BackendInfo",
+    # backend table
+    "BACKENDS",
     "PortfolioBackend",
-    "register_backend",
     "resolve_backend",
-    "create_backend",
-    "list_backends",
-    "backend_names",
-    "DEFAULT_BACKEND",
     "ScipyMilpSolver",
     "highs_available",
     "solve_lp_highs",

@@ -1,172 +1,46 @@
-"""Pluggable solver-backend registry.
+"""The fixed table of ILP solver backends.
 
-The seed dispatched solver names through an ad-hoc ``if``-chain in
-:func:`repro.ilp.branch_bound.create_solver`.  This module replaces that
-with a small registry in the style of mainstream solver frontends: every
-backend is described by a :class:`BackendInfo` record (factory, option
-schema, capability tags, aliases, availability probe) and instantiated
-through :func:`create_backend`.  The public contract of a backend is the
-:class:`SolverBackend` protocol — anything with a ``solve(model)`` method
-returning a :class:`repro.ilp.solution.Solution`.
+Every solver is picked by name from :data:`BACKENDS` and built by
+:func:`create_solver`; ``None`` and ``"auto"`` mean ``bnb``.  ``bnb``,
+``bnb-pure`` and ``bnb-tableau`` are the from-scratch branch-and-bound
+solver on HiGHS node LPs (the pure revised simplex without SciPy), the
+revised simplex and the legacy dense tableau.  ``scipy-milp`` is HiGHS'
+own branch-and-cut, and ``portfolio`` races ``bnb-pure`` against it.
 
-Built-in backends registered on import:
-
-``bnb``
-    The from-scratch best-first branch-and-bound solver with SOS-1
-    branching (:class:`repro.ilp.branch_bound.BranchAndBoundSolver`),
-    picking HiGHS for LP relaxations when SciPy is importable.
-``bnb-pure``
-    The same solver pinned to the pure-Python dense simplex LP kernel —
-    zero third-party dependencies.
-``scipy-milp``
-    The HiGHS branch-and-cut MILP behind ``scipy.optimize.milp``.
-``portfolio``
-    A racing backend: it runs the pure-Python branch-and-bound and the
-    HiGHS MILP concurrently and returns the first proven-optimal result,
-    cancelling the loser.  Mirrors the solver portfolios of modern MIP
-    services — the pure solver wins on small SOS-heavy models, HiGHS on
-    large ones, and the race never does worse than the faster entrant.
-
-Unknown option names are *filtered* against each backend's declared
-schema rather than rejected, so heterogeneous backends can be swapped
-freely under a shared option dictionary (the engine and benchmarks rely
-on this to pass ``time_limit`` everywhere).
+Options a backend does not take are dropped rather than rejected, so one
+option dictionary (the engine passes ``time_limit`` everywhere) can drive
+any backend.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
+from .branch_bound import BnBOptions, BranchAndBoundSolver
+from .context import SolveContext
 from .errors import ModelError, SolverError
 from .model import MAXIMIZE, Model
 from .scipy_backend import ScipyMilpSolver, highs_available
 from .solution import Solution
 
-try:  # pragma: no cover - typing fallback for very old interpreters
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore
-
-    def runtime_checkable(cls):  # type: ignore
-        return cls
-
-__all__ = [
-    "SolverBackend",
-    "BackendInfo",
-    "PortfolioBackend",
-    "register_backend",
-    "resolve_backend",
-    "create_backend",
-    "list_backends",
-    "backend_names",
-    "DEFAULT_BACKEND",
-]
+__all__ = ["BACKENDS", "DEFAULT_BACKEND", "PortfolioBackend", "create_solver",
+           "resolve_backend"]
 
 #: Canonical name used when the caller passes ``None`` or ``"auto"``.
 DEFAULT_BACKEND = "bnb"
 
+#: Every option :class:`BranchAndBoundSolver` takes.
+BNB_OPTIONS: FrozenSet[str] = frozenset(f.name for f in dataclasses.fields(BnBOptions))
 
-@runtime_checkable
-class SolverBackend(Protocol):
-    """Structural interface every registered solver satisfies."""
-
-    def solve(self, model: Model) -> Solution:  # pragma: no cover - protocol
-        ...
-
-
-@dataclass(frozen=True)
-class BackendInfo:
-    """Registry record describing one solver backend."""
-
-    name: str
-    factory: Callable[..., SolverBackend]
-    description: str
-    #: Capability tags ("milp", "sos1-branching", "pure-python", ...) used
-    #: by callers to pick a backend and by ``repro backends`` for display.
-    capabilities: frozenset
-    #: Accepted constructor options (name -> one-line description).  Options
-    #: outside the schema are dropped by :func:`create_backend`.
-    options: Mapping[str, str] = field(default_factory=dict)
-    aliases: Tuple[str, ...] = ()
-    #: Availability probe; ``None`` means always available.
-    requires: Optional[Callable[[], bool]] = None
-
-    @property
-    def available(self) -> bool:
-        return self.requires is None or bool(self.requires())
-
-    def create(self, **options) -> SolverBackend:
-        """Instantiate the backend, filtering options to the schema."""
-        accepted = {k: v for k, v in options.items() if k in self.options}
-        return self.factory(**accepted)
-
-
-_REGISTRY: Dict[str, BackendInfo] = {}
-_ALIASES: Dict[str, str] = {}
-
-
-def register_backend(info: BackendInfo) -> BackendInfo:
-    """Add a backend to the registry (its aliases must be unclaimed)."""
-    for key in (info.name,) + info.aliases:
-        owner = _ALIASES.get(key)
-        if owner is not None and owner != info.name:
-            raise ModelError(
-                f"backend name {key!r} is already registered by {owner!r}"
-            )
-    _REGISTRY[info.name] = info
-    _ALIASES[info.name] = info.name
-    for alias in info.aliases:
-        _ALIASES[alias] = info.name
-    return info
-
-
-def backend_names() -> List[str]:
-    """Canonical names of all registered backends (sorted)."""
-    return sorted(_REGISTRY)
-
-
-def list_backends() -> List[BackendInfo]:
-    """All registered backends, sorted by canonical name."""
-    return [_REGISTRY[name] for name in backend_names()]
-
-
-def resolve_backend(name: Optional[str]) -> BackendInfo:
-    """Resolve a (possibly aliased) backend name to its registry record."""
-    if name is None or name == "auto":
-        name = DEFAULT_BACKEND
-    canonical = _ALIASES.get(name)
-    if canonical is None:
-        raise ModelError(f"unknown solver backend {name!r}")
-    return _REGISTRY[canonical]
-
-
-def create_backend(name: Optional[str] = None, **options) -> SolverBackend:
-    """Instantiate a registered backend by (aliased) name.
-
-    This is the engine behind :func:`repro.ilp.create_solver`; the old
-    string names (``"auto"``, ``"bnb-pure"``, ``"scipy-milp"``, ...) keep
-    resolving unchanged.  Options not in the backend's schema are ignored
-    so a single option dictionary can drive heterogeneous backends.
-    """
-    info = resolve_backend(name)
-    if not info.available:
-        raise SolverError(
-            f"solver backend {info.name!r} is not available in this "
-            "environment (missing optional dependency)"
-        )
-    return info.create(**options)
-
-
-# ---------------------------------------------------------------------------
-# Portfolio backend
-# ---------------------------------------------------------------------------
 
 class PortfolioBackend:
-    """Race several MILP backends; the first proven-optimal result wins.
+    """Race ``bnb-pure`` against ``scipy-milp``; the first proven optimum wins.
 
     Entrants run on a thread pool: the HiGHS MILP releases the GIL inside
     its C++ core, so it genuinely overlaps with the pure-Python
@@ -175,7 +49,8 @@ class PortfolioBackend:
     exits, while a HiGHS solve simply runs to its own (bounded) limit in
     the background.  When no entrant reaches optimality the best feasible
     incumbent is returned, and only if every entrant fails does the
-    portfolio report the first failure.
+    portfolio report the first failure.  Without SciPy the portfolio is a
+    plain ``bnb-pure`` solve.
     """
 
     name = "portfolio"
@@ -184,71 +59,41 @@ class PortfolioBackend:
         self,
         time_limit: Optional[float] = None,
         rel_gap: float = 1e-6,
-        entrants: Optional[Sequence[str]] = None,
         fix_zero: Optional[Sequence[int]] = None,
         **bnb_options,
     ) -> None:
         self.time_limit = time_limit
         self.rel_gap = rel_gap
-        self.entrants = tuple(entrants) if entrants is not None else None
         self.fix_zero = tuple(fix_zero) if fix_zero is not None else None
         self.bnb_options = dict(bnb_options)
 
     # ------------------------------------------------------------- entrants
-    def _build_entrants(self, stop: threading.Event) -> List[Tuple[str, SolverBackend]]:
-        from .branch_bound import BranchAndBoundSolver  # local: avoid cycle
-        from .context import SolveContext
-
-        wanted = self.entrants
-        if wanted is None:
-            wanted = ("bnb-pure", "scipy-milp") if highs_available() else ("bnb-pure",)
-        racing = len([w for w in wanted
-                      if w != "scipy-milp" or highs_available()]) > 1
-        entrants: List[Tuple[str, SolverBackend]] = []
-        bnb_seen = False
-        for label in wanted:
-            if label in ("bnb-pure", "bnb"):
-                options = dict(self.bnb_options)
-                if label == "bnb-pure":
-                    options.setdefault("lp_backend", "revised")
-                if bnb_seen:
-                    # A SolveContext is not safe to share between two
-                    # concurrently racing branch-and-bound entrants.
-                    options.pop("context", None)
-                elif racing and options.get("context") is not None:
-                    # A losing racer is abandoned, not joined, so it may
-                    # still be mutating its context after solve() returns
-                    # — never hand a racing thread the caller's context.
-                    # A detached clone keeps the warm start and the
-                    # pseudo-cost knowledge without the race.
-                    options["context"] = SolveContext.from_dict(
-                        options["context"].as_dict()
-                    )
-                bnb_seen = True
-                entrants.append(
-                    (
-                        label,
-                        BranchAndBoundSolver(
-                            time_limit=self.time_limit,
-                            rel_gap=self.rel_gap,
-                            stop_check=stop.is_set,
-                            fix_zero=self.fix_zero,
-                            **options,
-                        ),
-                    )
-                )
-            elif label in ("scipy-milp", "scipy", "highs-milp"):
-                if not highs_available():
-                    continue
-                entrants.append(
-                    (label, ScipyMilpSolver(time_limit=self.time_limit,
-                                            rel_gap=self.rel_gap,
-                                            fix_zero=self.fix_zero))
-                )
-            else:
-                raise ModelError(f"unknown portfolio entrant {label!r}")
-        if not entrants:
-            raise SolverError("portfolio backend has no available entrants")
+    def _build_entrants(self, stop: threading.Event) -> List[Tuple[str, object]]:
+        racing = highs_available()
+        options = dict(self.bnb_options)
+        options.setdefault("lp_backend", "revised")
+        if racing and options.get("context") is not None:
+            # A losing racer is abandoned, not joined, so it may still be
+            # mutating its context after solve() returns — never hand a
+            # racing thread the caller's context.  A detached clone keeps
+            # the warm start and the pseudo-cost knowledge without the race.
+            options["context"] = SolveContext.from_dict(options["context"].as_dict())
+        entrants: List[Tuple[str, object]] = [(
+            "bnb-pure",
+            BranchAndBoundSolver(
+                time_limit=self.time_limit,
+                rel_gap=self.rel_gap,
+                stop_check=stop.is_set,
+                fix_zero=self.fix_zero,
+                **options,
+            ),
+        )]
+        if racing:
+            entrants.append((
+                "scipy-milp",
+                ScipyMilpSolver(time_limit=self.time_limit, rel_gap=self.rel_gap,
+                                fix_zero=self.fix_zero),
+            ))
         return entrants
 
     # ----------------------------------------------------------------- solve
@@ -340,132 +185,73 @@ class PortfolioBackend:
         return solution
 
 
-# ---------------------------------------------------------------------------
-# Built-in registrations
-# ---------------------------------------------------------------------------
+class Backend(NamedTuple):
+    """One row of :data:`BACKENDS`."""
 
-_BNB_OPTIONS: Dict[str, str] = {
-    "lp_backend": "LP relaxation kernel: auto, highs, revised or simplex",
-    "simplex_options": "SimplexOptions for the dense tableau kernel",
-    "revised_options": "RevisedOptions for the revised simplex kernel",
-    "lp_pricing": "revised-kernel pricing rule: dantzig, partial or devex",
-    "lp_factorization": "revised-kernel basis representation: auto, dense or lu",
-    "reuse_basis": "dual-simplex warm starts from the parent node's basis",
-    "branching": "branching strategy: auto, sos1 or variable",
-    "time_limit": "wall-clock limit in seconds",
-    "node_limit": "maximum number of branch-and-bound nodes",
-    "rel_gap": "relative optimality gap",
-    "abs_gap": "absolute optimality gap",
-    "integrality_tol": "integrality tolerance",
-    "root_heuristic": "seed the incumbent with the greedy SOS heuristic",
-    "heuristics": "primal heuristic portfolio: auto, root or off",
-    "heuristic_freq": "re-run a cheap dive every N explored nodes (0 = root only)",
-    "heuristic_seed": "seed of the LNS destroy/repair schedule",
-    "gap_limit": "stop once the incumbent is within this relative gap (fast mode)",
-    "node_rounding": "try rounding every node relaxation",
-    "warm_start": "initial incumbent assignment (variable-indexed vector)",
-    "stop_check": "callable polled between nodes to cancel the solve",
-    "presolve": "run the presolve reductions before the tree search",
-    "node_presolve": "bound propagation at every node (prunes without LP)",
-    "objective_cutoff": "per-node incumbent-cutoff filtering (prunes without LP)",
-    "fix_zero": "variable indices forced to zero at the root",
-    "context": "SolveContext carrying warm starts and pseudo-costs",
-    "log": "print per-node progress",
+    factory: Callable[..., object]
+    #: option names the factory takes; :func:`create_solver` drops the rest.
+    options: FrozenSet[str]
+    available: Callable[[], bool]
+    description: str
+
+
+def _pinned_bnb(lp_backend: str, **options) -> BranchAndBoundSolver:
+    options.setdefault("lp_backend", lp_backend)
+    return BranchAndBoundSolver(**options)
+
+
+def _always() -> bool:
+    return True
+
+
+BACKENDS: Dict[str, Backend] = {
+    "bnb": Backend(
+        BranchAndBoundSolver, BNB_OPTIONS, _always,
+        "best-first branch-and-bound with SOS-1 branching "
+        "(HiGHS LP relaxations when SciPy is present)",
+    ),
+    "bnb-pure": Backend(
+        partial(_pinned_bnb, "revised"), BNB_OPTIONS, _always,
+        "branch-and-bound on the pure-Python revised simplex with dual "
+        "warm re-solves (no third-party dependencies)",
+    ),
+    "bnb-tableau": Backend(
+        partial(_pinned_bnb, "simplex"), BNB_OPTIONS, _always,
+        "branch-and-bound on the legacy dense two-phase tableau simplex",
+    ),
+    "scipy-milp": Backend(
+        ScipyMilpSolver, frozenset(inspect.signature(ScipyMilpSolver).parameters),
+        highs_available, "HiGHS branch-and-cut via scipy.optimize.milp",
+    ),
+    "portfolio": Backend(
+        # The portfolio installs its own stop check on the racing entrant.
+        PortfolioBackend, BNB_OPTIONS - {"stop_check"}, _always,
+        "race bnb-pure against scipy-milp; first proven-optimal result wins",
+    ),
 }
 
 
-def _bnb_factory(**options):
-    from .branch_bound import BranchAndBoundSolver
-
-    return BranchAndBoundSolver(**options)
-
-
-def _bnb_pure_factory(**options):
-    from .branch_bound import BranchAndBoundSolver
-
-    options.setdefault("lp_backend", "revised")
-    return BranchAndBoundSolver(**options)
-
-
-def _bnb_tableau_factory(**options):
-    from .branch_bound import BranchAndBoundSolver
-
-    options.setdefault("lp_backend", "simplex")
-    return BranchAndBoundSolver(**options)
+def resolve_backend(name: Optional[str]) -> str:
+    """The table name ``name`` stands for (``None``/``"auto"`` mean ``bnb``)."""
+    if name is None or name == "auto":
+        return DEFAULT_BACKEND
+    if name not in BACKENDS:
+        raise ModelError(
+            f"unknown solver backend {name!r} (expected auto or one of "
+            f"{', '.join(BACKENDS)})"
+        )
+    return name
 
 
-def _register_builtin_backends() -> None:
-    register_backend(BackendInfo(
-        name="bnb",
-        factory=_bnb_factory,
-        description="best-first branch-and-bound with SOS-1 branching "
-                    "(HiGHS LP relaxations when SciPy is present)",
-        capabilities=frozenset({"milp", "sos1-branching", "warm-start",
-                                "time-limit", "node-limit"}),
-        options=_BNB_OPTIONS,
-        aliases=("branch-and-bound",),
-    ))
-    register_backend(BackendInfo(
-        name="bnb-pure",
-        factory=_bnb_pure_factory,
-        description="branch-and-bound pinned to the pure-Python revised "
-                    "simplex with dual warm re-solves (no third-party "
-                    "dependencies)",
-        capabilities=frozenset({"milp", "sos1-branching", "warm-start",
-                                "basis-reuse", "time-limit", "node-limit",
-                                "pure-python"}),
-        options=_BNB_OPTIONS,
-        aliases=("pure", "simplex"),
-    ))
-    register_backend(BackendInfo(
-        name="bnb-tableau",
-        factory=_bnb_tableau_factory,
-        description="branch-and-bound pinned to the legacy dense "
-                    "two-phase tableau simplex (kernel-ablation baseline)",
-        capabilities=frozenset({"milp", "sos1-branching", "warm-start",
-                                "time-limit", "node-limit", "pure-python"}),
-        options=_BNB_OPTIONS,
-        aliases=("tableau",),
-    ))
-    register_backend(BackendInfo(
-        name="scipy-milp",
-        factory=ScipyMilpSolver,
-        description="HiGHS branch-and-cut via scipy.optimize.milp",
-        capabilities=frozenset({"milp", "time-limit", "requires-scipy"}),
-        options={
-            "time_limit": "wall-clock limit in seconds",
-            "rel_gap": "relative optimality gap",
-            "fix_zero": "variable indices forced to zero",
-        },
-        aliases=("scipy", "highs-milp"),
-        requires=highs_available,
-    ))
-    register_backend(BackendInfo(
-        name="portfolio",
-        factory=PortfolioBackend,
-        description="race pure-Python branch-and-bound against HiGHS; "
-                    "first proven-optimal result wins",
-        capabilities=frozenset({"milp", "racing", "time-limit"}),
-        options={
-            "time_limit": "wall-clock limit in seconds (applied per entrant)",
-            "rel_gap": "relative optimality gap",
-            "entrants": "sequence of entrant backend names to race",
-            "warm_start": "initial incumbent for the branch-and-bound entrant",
-            "node_limit": "node limit for the branch-and-bound entrant",
-            "fix_zero": "variable indices forced to zero (all entrants)",
-            "presolve": "presolve toggle for the branch-and-bound entrant",
-            "objective_cutoff": "cutoff-filter toggle for the branch-and-bound entrant",
-            "reuse_basis": "basis-reuse toggle for the branch-and-bound entrant",
-            "lp_pricing": "revised-kernel pricing rule for the branch-and-bound entrant",
-            "lp_factorization": "revised-kernel basis representation for the branch-and-bound entrant",
-            "heuristics": "heuristic portfolio mode for the branch-and-bound entrant",
-            "heuristic_freq": "periodic dive interval for the branch-and-bound entrant",
-            "heuristic_seed": "LNS schedule seed for the branch-and-bound entrant",
-            "gap_limit": "fast-mode gap contract for the branch-and-bound entrant",
-            "context": "SolveContext for the branch-and-bound entrant",
-        },
-        aliases=("race",),
-    ))
-
-
-_register_builtin_backends()
+def create_solver(name: Optional[str] = None, **options):
+    """Build the solver ``name`` names, passing it the options it takes."""
+    name = resolve_backend(name)
+    backend = BACKENDS[name]
+    if not backend.available():
+        raise SolverError(
+            f"solver backend {name!r} is not available in this "
+            "environment (missing optional dependency)"
+        )
+    return backend.factory(
+        **{key: value for key, value in options.items() if key in backend.options}
+    )

@@ -14,7 +14,7 @@ runs as a three-stage path:
    solves the whole model outright on retry solves);
 3. **branch and bound** — the classic LP-relaxation loop over the
    *reduced* form: solve the node relaxation (HiGHS when available,
-   otherwise the built-in sparse-assembled dense simplex), prune against
+   otherwise the built-in revised simplex), prune against
    the incumbent, accept integral relaxations, branch otherwise.
 
 Branching strategies:
@@ -41,7 +41,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,9 +53,9 @@ from .heuristics import round_with_sos, sos_greedy_assignment
 from .lns import LnsOptions, lns_search
 from .model import Model
 from .presolve import Postsolve, presolve as run_presolve, propagate_bounds
-from .revised_simplex import BasisState, RevisedOptions, RevisedSimplex
+from .revised_simplex import BasisState, RevisedSimplex
 from .scipy_backend import highs_available, solve_lp_highs
-from .simplex import SimplexOptions, solve_lp_simplex
+from .simplex import solve_lp_simplex
 from .solution import (
     ERROR,
     FEASIBLE,
@@ -70,12 +70,21 @@ from .solution import (
 )
 from .standard_form import StandardForm
 
-__all__ = ["BranchAndBoundSolver", "BnBOptions", "create_solver"]
+__all__ = ["BranchAndBoundSolver", "BnBOptions"]
+
+
+#: Absolute tolerance below which an objective does not count as an
+#: improvement (incumbent updates, pruning, the objective cutoff).
+_ABS_GAP = 1e-9
 
 
 @dataclass
 class BnBOptions:
-    """Tuning parameters for :class:`BranchAndBoundSolver`."""
+    """Tuning parameters for :class:`BranchAndBoundSolver`.
+
+    This is the one list of branch-and-bound options: the backend table
+    passes exactly these names through to the solver.
+    """
 
     #: "auto" picks HiGHS when SciPy is importable, otherwise the built-in
     #: revised simplex; "highs", "revised" and "simplex" (the legacy
@@ -87,7 +96,6 @@ class BnBOptions:
     time_limit: Optional[float] = None
     node_limit: Optional[int] = None
     rel_gap: float = 1e-6
-    abs_gap: float = 1e-9
     integrality_tol: float = 1e-6
     #: run the presolve reductions before the tree search.
     presolve: bool = True
@@ -95,7 +103,7 @@ class BnBOptions:
     #: and fully-fixed children fathomed without spending an LP solve.
     node_presolve: bool = True
     #: filter every node against the objective cutoff ``c.x <= incumbent -
-    #: abs_gap`` using SOS-aware interval bounds: candidates too expensive
+    #: _ABS_GAP`` using SOS-aware interval bounds: candidates too expensive
     #: for the incumbent are removed (and hopeless nodes pruned) before
     #: any LP is solved.  This is what turns a good warm start — e.g. a
     #: chained incumbent from an adjacent design point — into fewer LP
@@ -115,43 +123,21 @@ class BnBOptions:
     #: the strict improvement filter, so the proved optimum is unchanged —
     #: a better incumbent just prunes more of the tree.
     heuristics: str = "auto"
-    #: additionally re-run a cheap dive every N explored nodes
-    #: (0 = root portfolio only).
-    heuristic_freq: int = 0
-    #: seed of the LNS destroy/repair schedule (deterministic per seed).
-    heuristic_seed: int = 0
     #: stop with status "feasible" once the incumbent objective is within
     #: this relative gap of the best bound — the ``--fast`` contract:
     #: ``objective <= bound * (1 + gap_limit)``.  ``None`` (default)
     #: solves to proved optimality.
     gap_limit: Optional[float] = None
-    #: try rounding the relaxation of every node into an incumbent.
-    node_rounding: bool = True
     #: optional warm-start assignment (indexed by variable index).
     warm_start: Optional[np.ndarray] = None
     #: polled between nodes; returning True stops the solve with the best
     #: incumbent found so far (used by the portfolio backend to cancel a
     #: race loser without killing its thread).
     stop_check: Optional[Callable[[], bool]] = None
-    #: per-solve options of the dense tableau kernel (``lp_backend=
-    #: "simplex"``); built once per solve instead of per node, so
-    #: ``max_iterations``/``tolerance`` are configurable from backends.
-    simplex_options: Optional[SimplexOptions] = None
-    #: per-solve options of the revised kernel (``lp_backend="revised"``).
-    revised_options: Optional[RevisedOptions] = None
-    #: revised-kernel pricing rule override ("dantzig", "partial",
-    #: "devex"); ``None`` keeps the kernel default.  A convenience knob
-    #: so backends/serve configs can switch rules without building a full
-    #: :class:`RevisedOptions`.
-    lp_pricing: Optional[str] = None
-    #: revised-kernel basis representation override ("auto", "dense",
-    #: "lu"); ``None`` keeps the kernel default.
-    lp_factorization: Optional[str] = None
     #: thread the parent node's optimal basis into child re-solves (the
     #: revised kernel's dual-simplex warm start); fingerprints must be
     #: identical with this off — it only changes solver effort.
     reuse_basis: bool = True
-    log: bool = False
 
 
 @dataclass(order=True)
@@ -179,39 +165,59 @@ class BranchAndBoundSolver:
         self.options = BnBOptions(**options)
 
     # ------------------------------------------------------------------ LP
+    def _solve_lp(
+        self,
+        form: StandardForm,
+        lb: np.ndarray,
+        ub: np.ndarray,
+        basis: Optional[BasisState] = None,
+    ) -> Tuple[LpResult, Optional[LpResult]]:
+        """Solve ``form`` under the box ``[lb, ub]`` on this solve's LP kernel.
+
+        Returns ``(result, discarded)``.  On numerical trouble in the
+        revised kernel one dense tableau solve stands in as a safety net;
+        ``discarded`` is then the failed revised attempt (whose work the
+        caller may still count), otherwise ``None``.
+        """
+        if self._lp_backend == "revised":
+            result = self._revised_engine(form).solve(lb, ub, basis=basis)
+            if result.status != ERROR:
+                return result, None
+            return solve_lp_simplex(form.with_bounds(lb, ub)), result
+        bounded = form.with_bounds(lb, ub)
+        if self._lp_backend == "highs":
+            return solve_lp_highs(bounded), None
+        return solve_lp_simplex(bounded), None
+
     def _solve_relaxation(
         self,
         form: StandardForm,
+        lb: np.ndarray,
+        ub: np.ndarray,
         stats: SolveStats,
         basis: Optional[BasisState] = None,
     ) -> LpResult:
+        """A tree LP: counted in ``lp_solves`` and ``simplex_iterations``."""
         stats.lp_solves += 1
-        if self._lp_backend == "highs":
-            result = solve_lp_highs(form)
-        elif self._lp_backend == "revised":
-            engine = self._revised_engine(form)
-            result = engine.solve(form.lb, form.ub, basis=basis)
-            stats.add_lp(result)
-            if result.pricing:
-                stats.pricing_pivots[result.pricing] = (
-                    stats.pricing_pivots.get(result.pricing, 0) + result.iterations
+        result, discarded = self._solve_lp(form, lb, ub, basis)
+        if self._lp_backend == "revised":
+            attempt = discarded if discarded is not None else result
+            stats.add_lp(attempt)
+            if attempt.pricing:
+                stats.pricing_pivots[attempt.pricing] = (
+                    stats.pricing_pivots.get(attempt.pricing, 0) + attempt.iterations
                 )
-            if result.status == ERROR:
-                # Numerical trouble in the revised kernel: one dense
-                # tableau solve as a safety net for this node.  The
-                # discarded attempt's work is still accounted (its own
+            if discarded is not None:
+                # The discarded attempt's work is still accounted (its own
                 # LP solve and iterations), but it does not count as a
                 # basis reuse — its result was thrown away.
-                stats.simplex_iterations += result.iterations
+                stats.simplex_iterations += discarded.iterations
                 stats.lp_solves += 1
-                result = solve_lp_simplex(form, self._simplex_options)
             else:
                 if result.basis_reused:
                     stats.basis_reuses += 1
                 if result.warm:
                     stats.warm_lp_solves += 1
-        else:
-            result = solve_lp_simplex(form, self._simplex_options)
         stats.simplex_iterations += result.iterations
         return result
 
@@ -219,7 +225,7 @@ class BranchAndBoundSolver:
         """One engine per (matrices, costs) triple, shared by all nodes."""
         engine = self._engine
         if engine is None or not engine.matches(form):
-            engine = RevisedSimplex(form, self._revised_options)
+            engine = RevisedSimplex(form)
             self._engine = engine
         return engine
 
@@ -340,20 +346,6 @@ class BranchAndBoundSolver:
         else:
             raise ModelError(f"unknown lp_backend {options.lp_backend!r}")
         stats.backend = f"bnb+{self._lp_backend}"
-        # Hoisted per-solve LP options: built once here instead of per
-        # node, so callers can actually tune ``max_iterations``/
-        # ``tolerance`` through the backend registry.
-        self._simplex_options = options.simplex_options or SimplexOptions()
-        self._revised_options = options.revised_options or RevisedOptions()
-        overrides = {}
-        if options.lp_pricing is not None:
-            overrides["pricing"] = options.lp_pricing
-        if options.lp_factorization is not None:
-            overrides["factorization"] = options.lp_factorization
-        if overrides:
-            # replace() re-runs validation-by-construction in the engine;
-            # a bad name surfaces as the kernel's own ValueError.
-            self._revised_options = replace(self._revised_options, **overrides)
         self._engine: Optional[RevisedSimplex] = None
         reuse_basis = options.reuse_basis and self._lp_backend == "revised"
 
@@ -552,7 +544,7 @@ class BranchAndBoundSolver:
                 return
             candidate = np.asarray(candidate, dtype=float)
             obj = internal_objective(candidate)
-            if obj < incumbent_obj - options.abs_gap and admissible(candidate):
+            if obj < incumbent_obj - _ABS_GAP and admissible(candidate):
                 incumbent = candidate
                 incumbent_obj = obj
                 stats.incumbent_updates += 1
@@ -621,18 +613,7 @@ class BranchAndBoundSolver:
             scoreboard stays comparable across heuristic settings.
             """
             stats.dive_lp_solves += 1
-            if self._lp_backend == "revised":
-                result = self._revised_engine(rform).solve(lb, ub, basis=basis)
-                if result.status == ERROR:
-                    result = solve_lp_simplex(
-                        rform.with_bounds(lb, ub), self._simplex_options
-                    )
-            elif self._lp_backend == "highs":
-                result = solve_lp_highs(rform.with_bounds(lb, ub))
-            else:
-                result = solve_lp_simplex(
-                    rform.with_bounds(lb, ub), self._simplex_options
-                )
+            result, _ = self._solve_lp(rform, lb, ub, basis)
             stats.dive_pivots += result.iterations
             return result
 
@@ -650,29 +631,24 @@ class BranchAndBoundSolver:
             lb: np.ndarray,
             ub: np.ndarray,
             bound: float,
-            *,
-            full: bool,
         ) -> None:
-            """Dive/RINS (and at the root, LNS) from a fractional point."""
+            """Dives, RINS and LNS from the root's fractional point."""
             reference = incumbent[post.kept] if incumbent is not None else None
-            runs = []
-            strategies = ("fractional", "coefficient") if full else ("fractional",)
-            for strategy in strategies:
+            runs = [
+                dive(
+                    rform, group_members, heuristic_solve_lp, lb, ub, x,
+                    basis, strategy=strategy, integrality_tol=integrality_tol,
+                )
+                for strategy in ("fractional", "coefficient")
+            ]
+            if reference is not None:
                 runs.append(
                     dive(
                         rform, group_members, heuristic_solve_lp, lb, ub, x,
-                        basis, strategy=strategy, integrality_tol=integrality_tol,
+                        basis, strategy="guided", reference=reference,
+                        integrality_tol=integrality_tol,
                     )
                 )
-            if reference is not None:
-                if full:
-                    runs.append(
-                        dive(
-                            rform, group_members, heuristic_solve_lp, lb, ub, x,
-                            basis, strategy="guided", reference=reference,
-                            integrality_tol=integrality_tol,
-                        )
-                    )
                 runs.append(
                     rins_dive(
                         rform, group_members, heuristic_solve_lp, lb, ub, x,
@@ -684,11 +660,11 @@ class BranchAndBoundSolver:
                 key=lambda r: (r.objective, r.source),
             ):
                 adopt_heuristic(run.x, run.source)
-            if full and incumbent is not None and group_members:
+            if incumbent is not None and group_members:
                 improved = lns_search(
                     rform, group_members, heuristic_solve_lp, lb, ub,
                     incumbent[post.kept], bound,
-                    LnsOptions(seed=options.heuristic_seed),
+                    LnsOptions(),
                     basis0=basis,
                     accept=lambda xr, _obj: admissible(post.restore(xr)),
                     integrality_tol=integrality_tol,
@@ -729,7 +705,7 @@ class BranchAndBoundSolver:
                 # Fast-mode contract met: the incumbent certifies against
                 # the best open bound, stop without proving optimality.
                 return finish(FEASIBLE, incumbent, incumbent_obj, best_bound)
-            if node.bound >= incumbent_obj - options.abs_gap:
+            if node.bound >= incumbent_obj - _ABS_GAP:
                 stats.nodes_pruned += 1
                 continue
 
@@ -761,7 +737,7 @@ class BranchAndBoundSolver:
                 node.lb, node.ub = node_lb, node_ub
             if options.objective_cutoff and incumbent is not None:
                 feasible, node_lb, node_ub = apply_objective_cutoff(
-                    incumbent_obj - options.abs_gap, node_lb, node_ub
+                    incumbent_obj - _ABS_GAP, node_lb, node_ub
                 )
                 if not feasible:
                     stats.nodes_pruned += 1
@@ -777,9 +753,9 @@ class BranchAndBoundSolver:
                     try_incumbent(post.restore(reduced))
                     continue
                 node.lb, node.ub = node_lb, node_ub
-            node_form = rform.with_bounds(node_lb, node_ub)
             relaxation = self._solve_relaxation(
-                node_form, stats, basis=node.basis if reuse_basis else None
+                rform, node_lb, node_ub, stats,
+                basis=node.basis if reuse_basis else None,
             )
 
             if relaxation.status == INFEASIBLE:
@@ -804,7 +780,7 @@ class BranchAndBoundSolver:
                 )
             if node.depth == 0:
                 best_bound = bound
-            if bound >= incumbent_obj - options.abs_gap:
+            if bound >= incumbent_obj - _ABS_GAP:
                 stats.nodes_pruned += 1
                 continue
 
@@ -816,27 +792,17 @@ class BranchAndBoundSolver:
                 try_incumbent(post.restore(reduced))
                 continue
 
-            if options.node_rounding:
-                try_incumbent(round_with_sos(model, root_form, post.restore(x)))
+            try_incumbent(round_with_sos(model, root_form, post.restore(x)))
 
-            if heuristics_on and group_members and (
-                node.depth == 0
-                or (
-                    options.heuristic_freq > 0
-                    and stats.nodes_explored % options.heuristic_freq == 0
-                )
-            ):
-                # Root: full dive portfolio + RINS + LNS off this node's
-                # relaxation (its basis makes every step a dual warm
-                # re-solve).  Periodic nodes: one cheap fractional dive
-                # (plus RINS when an incumbent exists).
+            if heuristics_on and group_members and node.depth == 0:
+                # Dive portfolio + RINS + LNS off the root relaxation (its
+                # basis makes every step a dual warm re-solve).
                 run_portfolio(
                     x,
                     relaxation.basis if reuse_basis else None,
                     node_lb,
                     node_ub,
                     bound,
-                    full=node.depth == 0,
                 )
                 if incumbent is not None and meets_gap(incumbent_obj, best_bound):
                     return finish(FEASIBLE, incumbent, incumbent_obj, best_bound)
@@ -860,7 +826,7 @@ class BranchAndBoundSolver:
                 fathomed = False
                 for _ in range(3):
                     feasible, tight_lb, tight_ub = apply_objective_cutoff(
-                        incumbent_obj - options.abs_gap, probe_lb, probe_ub
+                        incumbent_obj - _ABS_GAP, probe_lb, probe_ub
                     )
                     if not feasible:
                         # Even the cheapest completion of the root box
@@ -874,8 +840,7 @@ class BranchAndBoundSolver:
                     ):
                         break
                     resolved = self._solve_relaxation(
-                        rform.with_bounds(tight_lb, tight_ub),
-                        stats,
+                        rform, tight_lb, tight_ub, stats,
                         basis=relaxation.basis if reuse_basis else None,
                     )
                     if resolved.status == INFEASIBLE:
@@ -886,7 +851,7 @@ class BranchAndBoundSolver:
                         break
                     probe_lb, probe_ub = tight_lb, tight_ub
                     resolved_bound = resolved.objective + rform.objective_offset
-                    if resolved_bound >= incumbent_obj - options.abs_gap:
+                    if resolved_bound >= incumbent_obj - _ABS_GAP:
                         return finish(
                             OPTIMAL, incumbent, incumbent_obj, incumbent_obj
                         )
@@ -969,7 +934,7 @@ class BranchAndBoundSolver:
                         lift -= 1e-6 * (1.0 + abs(bound))
                         if lift > 0 and bound + lift > child_bound:
                             child_bound = bound + lift
-                    if child_bound >= incumbent_obj - options.abs_gap:
+                    if child_bound >= incumbent_obj - _ABS_GAP:
                         stats.nodes_pruned += 1
                         stats.extra["push_floor_prunes"] = (
                             stats.extra.get("push_floor_prunes", 0) + 1
@@ -996,16 +961,3 @@ class BranchAndBoundSolver:
         # The queue is exhausted: the incumbent is optimal.
         return finish(OPTIMAL, incumbent, incumbent_obj, incumbent_obj)
 
-
-def create_solver(name: Optional[str] = None, **kwargs):
-    """Factory mapping a backend name to a solver instance.
-
-    Thin compatibility wrapper over the pluggable registry of
-    :mod:`repro.ilp.backends`: all historic names (``None``/``"auto"``,
-    ``"bnb-pure"``, ``"scipy-milp"``, ...) resolve through
-    :func:`repro.ilp.backends.create_backend`, which also serves the new
-    backends such as ``"portfolio"``.
-    """
-    from .backends import create_backend  # local import to avoid a cycle
-
-    return create_backend(name, **kwargs)

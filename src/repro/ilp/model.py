@@ -222,20 +222,15 @@ class Model:
         return [c for c in self.constraints if not c.is_satisfied(assignment, tol)]
 
     # ------------------------------------------------------------------ solve
-    def solve(self, solver=None, **kwargs):
-        """Solve the model and return a :class:`repro.ilp.solution.Solution`.
+    def solve(self, solver: Optional[str] = None, **options):
+        """Solve the model with the backend named ``solver``.
 
-        ``solver`` may be a solver instance (anything with a ``solve(model)``
-        method), a backend name accepted by
-        :func:`repro.ilp.branch_bound.create_solver`, or ``None`` for the
-        default branch-and-bound solver.  Keyword arguments are forwarded to
-        the solver constructor when a name or ``None`` is given.
+        ``None`` picks the default branch-and-bound solver; ``options``
+        go to :func:`repro.ilp.backends.create_solver`.
         """
-        from .branch_bound import create_solver  # local import to avoid cycle
+        from .backends import create_solver  # local import to avoid cycle
 
-        if solver is None or isinstance(solver, str):
-            solver = create_solver(solver, **kwargs)
-        return solver.solve(self)
+        return create_solver(solver, **options).solve(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Model({self.summary()})"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -96,7 +96,7 @@ class ScipyMilpSolver:
 
     time_limit: Optional[float] = None
     rel_gap: float = 1e-6
-    name: str = "scipy-milp"
+    name: ClassVar[str] = "scipy-milp"
     #: variable indices forced to zero (the pipeline's forbidden pairs);
     #: applied as bounds so every backend honours the same fixings.
     fix_zero: Optional[Sequence[int]] = None

@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional
 from ..core.objective import CostWeights
 from ..engine import MappingEngine, MappingJob
 from ..engine.jobs import payload_cache_key
-from ..ilp import resolve_backend
+from ..ilp import BACKENDS, resolve_backend
 from ..ilp.errors import ModelError
 from ..io.serialize import SerializationError, board_from_dict, design_from_dict
 from ..io.serve import (
@@ -69,6 +69,10 @@ DEFAULT_RECORD_ENTRIES = 1024
 
 #: Per-job latency records kept for the serve artifact's percentiles.
 _METRICS_WINDOW = 4096
+
+#: Solver options only the program sets (warm starts, retry fixings, the
+#: portfolio's cancellation hook); a submission may not carry them.
+_PROGRAM_OPTIONS = frozenset({"context", "warm_start", "fix_zero", "stop_check"})
 
 #: ``/healthz`` latency stages: record field of each stage, and whether
 #: cache hits (answered without a solve) count towards it.
@@ -459,9 +463,23 @@ class MappingService:
         except TypeError as exc:
             raise ServeError(f"bad submission weights: {exc}") from exc
         try:
-            resolve_backend(submission.solver)
+            name = resolve_backend(submission.solver)
         except ModelError as exc:
             raise ServeError(f"bad submission solver: {exc}") from exc
+        backend = BACKENDS[name]
+        if not backend.available():
+            raise ServeError(
+                f"bad submission solver: backend {name!r} is not available "
+                "on this server (missing optional dependency)"
+            )
+        refused = sorted(
+            set(submission.solver_options) - (backend.options - _PROGRAM_OPTIONS)
+        )
+        if refused:
+            raise ServeError(
+                f"bad submission solver_options: backend {name!r} does not "
+                f"take {', '.join(map(repr, refused))}"
+            )
         try:
             return MappingJob(
                 board=board,

@@ -67,18 +67,10 @@ class TestModelStructure:
         with pytest.raises(MappingError):
             GlobalMapper(two_type_board).build_model(design)
 
-    def test_forbidden_pairs_removed_from_model(self, two_type_board, small_design):
-        mapper = GlobalMapper(two_type_board)
-        artifacts = mapper.build_model(
-            small_design, forbidden_pairs=[("coeffs", "blockram")]
-        )
-        assert ("coeffs", "blockram") not in artifacts.z_vars
-        assert ("coeffs", "sram") in artifacts.z_vars
-
     def test_forbidding_every_type_raises(self, two_type_board, small_design):
         mapper = GlobalMapper(two_type_board)
         with pytest.raises(MappingError):
-            mapper.build_model(
+            mapper.solve(
                 small_design,
                 forbidden_pairs=[("coeffs", "blockram"), ("coeffs", "sram")],
             )
@@ -90,20 +82,17 @@ class TestSkeletonMemoization:
         mapper.build_model(small_design)
         assert (mapper.skeleton_builds, mapper.skeleton_reuses) == (1, 0)
         # The retry loop's shape: same design, growing forbidden set.
-        mapper.build_model(small_design, forbidden_pairs=[("coeffs", "blockram")])
-        mapper.build_model(small_design, forbidden_pairs=[("coeffs", "blockram"),
-                                                          ("table", "blockram")])
-        assert (mapper.skeleton_builds, mapper.skeleton_reuses) == (1, 2)
+        mapper.solve(small_design, forbidden_pairs=[("coeffs", "blockram")])
+        mapper.solve(small_design, forbidden_pairs=[("coeffs", "blockram"),
+                                                    ("table", "blockram")])
+        assert mapper.skeleton_builds == 1
+        assert mapper.skeleton_reuses > 0
 
     def test_memoized_rebuild_produces_the_same_model(self, two_type_board, small_design):
-        fresh = GlobalMapper(two_type_board).build_model(
-            small_design, forbidden_pairs=[("coeffs", "blockram")]
-        )
+        fresh = GlobalMapper(two_type_board).build_model(small_design)
         warm_mapper = GlobalMapper(two_type_board)
         warm_mapper.build_model(small_design)  # populate the skeleton cache
-        warm = warm_mapper.build_model(
-            small_design, forbidden_pairs=[("coeffs", "blockram")]
-        )
+        warm = warm_mapper.build_model(small_design)
         assert set(warm.z_vars) == set(fresh.z_vars)
         assert warm.model.num_variables == fresh.model.num_variables
         assert warm.model.num_constraints == fresh.model.num_constraints
@@ -163,13 +152,6 @@ class TestSolving:
         greedy = GreedyMapper(two_type_board).solve(small_design)
         warm = mapper.solve(small_design, warm_start=greedy.assignment)
         assert warm.objective == pytest.approx(cold.objective)
-
-    def test_solver_instance_can_be_injected(self, two_type_board, small_design):
-        from repro.ilp import BranchAndBoundSolver
-
-        mapper = GlobalMapper(two_type_board, solver=BranchAndBoundSolver())
-        mapping = mapper.solve(small_design)
-        assert mapping.solver_status == "optimal"
 
     def test_solver_stats_recorded(self, two_type_board, small_design):
         mapping = GlobalMapper(two_type_board).solve(small_design)

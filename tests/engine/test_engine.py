@@ -55,13 +55,6 @@ class TestSerialExecution:
         assert results[0].error
         assert results[1].status == STATUS_OK
 
-    def test_solver_instances_are_rejected_at_job_construction(self):
-        from repro.ilp import BranchAndBoundSolver
-
-        with pytest.raises(TypeError):
-            MappingJob(board=virtex_board("XCV1000"), design=fir_filter_design(),
-                       solver=BranchAndBoundSolver())
-
     def test_complete_mode_matches_pipeline_objective(self):
         board = virtex_board("XCV1000")
         design = fir_filter_design()
@@ -159,14 +152,6 @@ class TestMemoryMapperBatch:
             assert job_result.objective == pytest.approx(
                 direct.global_mapping.objective
             )
-
-    def test_map_batch_refuses_solver_instances(self):
-        from repro.core import MappingError
-        from repro.ilp import BranchAndBoundSolver
-
-        mapper = MemoryMapper(virtex_board("XCV1000"), solver=BranchAndBoundSolver())
-        with pytest.raises(MappingError):
-            mapper.map_batch([fir_filter_design()])
 
 
 class TestExecutePayload:

@@ -1,26 +1,29 @@
-"""Unit tests for the pluggable solver-backend registry and the portfolio."""
+"""Unit tests for the solver-backend table and the portfolio."""
 
 from __future__ import annotations
+
+import dataclasses
+import threading
 
 import pytest
 
 from repro.ilp import (
-    BackendInfo,
+    BACKENDS,
+    BnBOptions,
     BranchAndBoundSolver,
     Model,
     ModelError,
     PortfolioBackend,
     ScipyMilpSolver,
-    SolverBackend,
-    backend_names,
-    create_backend,
+    SolverError,
     create_solver,
     highs_available,
-    list_backends,
-    register_backend,
     resolve_backend,
     quicksum,
 )
+from repro.ilp import backends as backends_module
+
+NAMES = ["bnb", "bnb-pure", "bnb-tableau", "scipy-milp", "portfolio"]
 
 
 def knapsack_model() -> Model:
@@ -33,20 +36,25 @@ def knapsack_model() -> Model:
     return model
 
 
+@pytest.fixture
+def without_highs(monkeypatch):
+    """Run the portfolio as if SciPy were missing."""
+    monkeypatch.setattr(backends_module, "highs_available", lambda: False)
+
+
 class TestRegistry:
     def test_at_least_three_backends_registered(self):
-        assert len(backend_names()) >= 3
-        assert {"bnb", "bnb-pure", "portfolio", "scipy-milp"} <= set(backend_names())
+        assert list(BACKENDS) == NAMES
+        assert all(backend.description for backend in BACKENDS.values())
 
-    def test_legacy_names_resolve_through_registry(self):
-        assert resolve_backend(None).name == "bnb"
-        assert resolve_backend("auto").name == "bnb"
-        assert resolve_backend("branch-and-bound").name == "bnb"
-        assert resolve_backend("pure").name == "bnb-pure"
-        assert resolve_backend("simplex").name == "bnb-pure"
-        assert resolve_backend("scipy").name == "scipy-milp"
-        assert resolve_backend("highs-milp").name == "scipy-milp"
-        assert resolve_backend("race").name == "portfolio"
+    def test_canonical_names_resolve_and_former_aliases_raise(self):
+        assert resolve_backend(None) == resolve_backend("auto") == "bnb"
+        for name in NAMES:
+            assert resolve_backend(name) == name
+        for alias in ("branch-and-bound", "pure", "simplex", "tableau",
+                      "scipy", "highs-milp", "race"):
+            with pytest.raises(ModelError):
+                resolve_backend(alias)
 
     def test_create_solver_keeps_backward_compatibility(self):
         assert isinstance(create_solver(None), BranchAndBoundSolver)
@@ -58,58 +66,36 @@ class TestRegistry:
 
     def test_unknown_backend_raises_model_error(self):
         with pytest.raises(ModelError):
-            create_backend("cplex")
+            create_solver("cplex")
+
+    def test_unavailable_backend_raises_solver_error(self, monkeypatch):
+        row = BACKENDS["scipy-milp"]._replace(available=lambda: False)
+        monkeypatch.setitem(BACKENDS, "scipy-milp", row)
+        with pytest.raises(SolverError):
+            create_solver("scipy-milp")
 
     def test_options_filtered_to_backend_schema(self):
         if not highs_available():
             pytest.skip("SciPy not available")
         # node_limit is a branch-and-bound knob; the HiGHS wrapper ignores it.
-        solver = create_backend("scipy-milp", time_limit=5.0, node_limit=10)
+        solver = create_solver("scipy-milp", time_limit=5.0, node_limit=10)
         assert solver.time_limit == 5.0
 
+    def test_bnb_options_are_the_one_option_list(self):
+        fields = {f.name for f in dataclasses.fields(BnBOptions)}
+        assert len(fields) == 17
+        for name in ("bnb", "bnb-pure", "bnb-tableau"):
+            assert BACKENDS[name].options == fields
+        assert BACKENDS["portfolio"].options == fields - {"stop_check"}
+        assert BACKENDS["scipy-milp"].options == {"time_limit", "rel_gap", "fix_zero"}
+
     def test_every_backend_satisfies_the_protocol(self):
-        for info in list_backends():
-            if not info.available:
+        for name, backend in BACKENDS.items():
+            if not backend.available():
                 continue
-            assert isinstance(info.create(), SolverBackend)
-
-    def test_backend_info_declares_options_and_capabilities(self):
-        for info in list_backends():
-            assert info.description
-            assert info.capabilities
-            assert "milp" in info.capabilities
-            assert all(isinstance(k, str) and v for k, v in info.options.items())
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ModelError):
-            register_backend(BackendInfo(
-                name="impostor",
-                factory=BranchAndBoundSolver,
-                description="steals an existing alias",
-                capabilities=frozenset({"milp"}),
-                aliases=("bnb",),
-            ))
-
-    def test_custom_backend_registers_and_creates(self):
-        info = BackendInfo(
-            name="test-custom-bnb",
-            factory=BranchAndBoundSolver,
-            description="test-only registration",
-            capabilities=frozenset({"milp"}),
-            options={"time_limit": "seconds"},
-        )
-        register_backend(info)
-        try:
-            assert "test-custom-bnb" in backend_names()
-            solver = create_backend("test-custom-bnb", time_limit=1.0, bogus=1)
-            assert isinstance(solver, BranchAndBoundSolver)
-            assert solver.options.time_limit == 1.0
-        finally:
-            # keep the global registry clean for other tests
-            from repro.ilp import backends as backends_module
-
-            backends_module._REGISTRY.pop("test-custom-bnb")
-            backends_module._ALIASES.pop("test-custom-bnb")
+            solution = create_solver(name, time_limit=30).solve(knapsack_model())
+            assert solution.is_optimal, name
+            assert solution.objective == pytest.approx(-11.0), name
 
 
 class TestPortfolioBackend:
@@ -121,20 +107,27 @@ class TestPortfolioBackend:
 
     def test_matches_the_individual_entrants(self):
         portfolio = PortfolioBackend(time_limit=30).solve(knapsack_model())
-        pure = create_backend("bnb-pure").solve(knapsack_model())
+        pure = create_solver("bnb-pure").solve(knapsack_model())
         assert portfolio.objective == pytest.approx(pure.objective)
         if highs_available():
-            highs = create_backend("scipy-milp").solve(knapsack_model())
+            highs = create_solver("scipy-milp").solve(knapsack_model())
             assert portfolio.objective == pytest.approx(highs.objective)
 
-    def test_single_entrant_degrades_to_direct_solve(self):
-        solution = PortfolioBackend(entrants=["bnb-pure"]).solve(knapsack_model())
+    def test_single_entrant_degrades_to_direct_solve(self, without_highs):
+        solution = PortfolioBackend().solve(knapsack_model())
         assert solution.is_optimal
         assert "bnb-pure" in solution.stats.backend
+        assert solution.stats.extra["portfolio_entrants"] == ["bnb-pure"]
 
-    def test_unknown_entrant_rejected(self):
-        with pytest.raises(ModelError):
-            PortfolioBackend(entrants=["cplex"]).solve(knapsack_model())
+    def test_branch_and_bound_options_reach_the_entrant(self):
+        portfolio = create_solver("portfolio", branching="variable", node_limit=7)
+        entrants = dict(portfolio._build_entrants(threading.Event()))
+        options = entrants["bnb-pure"].options
+        assert (options.branching, options.node_limit) == ("variable", 7)
+        assert options.lp_backend == "revised"
+        assert sorted(entrants) == (
+            ["bnb-pure", "scipy-milp"] if highs_available() else ["bnb-pure"]
+        )
 
     def test_maximize_models_pick_the_best_incumbent(self):
         # Knapsack phrased as MAXIMIZE; the portfolio's fallback tie-break
@@ -163,8 +156,8 @@ class TestPortfolioBackend:
         # The backend string names the same winner.
         assert extra["portfolio_winner"] in solution.stats.backend
 
-    def test_single_entrant_metadata(self):
-        solution = PortfolioBackend(entrants=["bnb-pure"]).solve(knapsack_model())
+    def test_single_entrant_metadata(self, without_highs):
+        solution = PortfolioBackend().solve(knapsack_model())
         assert solution.stats.extra["portfolio_winner"] == "bnb-pure"
         assert solution.stats.extra["portfolio_cancelled"] == 0
 

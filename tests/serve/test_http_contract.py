@@ -176,3 +176,46 @@ def test_future_wire_version_is_400_unsupported_version(front_end):
         sorted(ERROR_KEYS + ["code", "supported_versions"]),
     )
     assert body["supported_versions"] == list(SUPPORTED_WIRE_VERSIONS)
+
+
+def submit_with(url, solver, options):
+    """``(status, code)`` of a submission naming ``solver`` with ``options``."""
+    document = JobSubmission.from_objects(
+        virtex_board("XCV1000"), fir_filter_design(),
+        solver=solver, solver_options=options,
+    ).to_wire()
+    status, body = exchange(url, "POST", "/v1/jobs", document)
+    return status, body.get("code")
+
+
+@pytest.mark.parametrize(
+    "solver, options",
+    [
+        ("cplex", {}),
+        ("race", {}),
+        ("bnb-pure", {"time_limt": 0}),
+        ("scipy-milp", {"node_limit": 10}),
+        ("bnb-pure", {"stop_check": "x"}),
+        ("portfolio", {"context": {}}),
+        ("bnb", {"warm_start": [1.0]}),
+        ("scipy-milp", {"fix_zero": [0]}),
+    ],
+)
+def test_bad_solver_input_is_400_bad_request(front_end, solver, options):
+    url, _ = front_end
+    assert submit_with(url, solver, options) == (400, "BAD_REQUEST")
+
+
+def test_unavailable_backend_is_400_bad_request(front_end, monkeypatch):
+    from repro.ilp import BACKENDS
+
+    row = BACKENDS["scipy-milp"]._replace(available=lambda: False)
+    monkeypatch.setitem(BACKENDS, "scipy-milp", row)
+    url, _ = front_end
+    assert submit_with(url, "scipy-milp", {}) == (400, "BAD_REQUEST")
+
+
+def test_options_the_backend_takes_are_accepted(front_end):
+    url, _ = front_end
+    options = {"time_limit": 30, "node_limit": 100, "heuristics": "off"}
+    assert submit_with(url, "portfolio", options) == (202, None)

@@ -111,17 +111,19 @@ class TestBackendsCommand:
     def test_lists_registered_backends(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("bnb", "bnb-pure", "scipy-milp", "portfolio"):
-            assert name in out
+        assert "| name " in out and "| available " in out and "| description " in out
+        for name in ("bnb", "bnb-pure", "bnb-tableau", "scipy-milp", "portfolio"):
+            assert f"| {name} " in out
 
     def test_json_listing_has_at_least_three_backends(self, capsys):
         assert main(["backends", "--json"]) == 0
         listing = json.loads(capsys.readouterr().out)
-        assert len(listing) >= 3
-        names = {entry["name"] for entry in listing}
-        assert {"bnb", "bnb-pure", "portfolio"} <= names
+        assert [entry["name"] for entry in listing] == [
+            "bnb", "bnb-pure", "bnb-tableau", "scipy-milp", "portfolio"
+        ]
         for entry in listing:
-            assert "capabilities" in entry and "options" in entry
+            assert sorted(entry) == ["available", "description", "name"]
+            assert isinstance(entry["available"], bool) and entry["description"]
 
 
 class TestBatchCommand:
