@@ -7,9 +7,7 @@ instances through every LP kernel the repository ships:
 
 * ``tableau`` — the legacy dense tableau (finite-``lb`` families only),
 * ``dense`` — revised simplex on an explicit dense inverse,
-* ``lu`` — revised simplex on the Markowitz LU + eta file,
-* ``lu-partial`` / ``lu-devex`` — the LU kernel under partial pricing
-  and Devex pricing.
+* ``lu`` — revised simplex on the Markowitz LU + eta file.
 
 Each (family, kernel) cell reports total pivots, update etas applied,
 refactorizations and wall seconds, and whether every objective matched
@@ -74,8 +72,8 @@ _LARGE_SPARSE_QUICK: Sequence[Tuple[str, int, int, int]] = (
 )
 
 
-def _revised_kernel(pricing: str, factorization: str):
-    options = RevisedOptions(pricing=pricing, factorization=factorization)
+def _revised_kernel(factorization: str):
+    options = RevisedOptions(factorization=factorization)
 
     def solve(form):
         return solve_lp_revised(form, options)
@@ -90,10 +88,8 @@ def _tableau_kernel(form):
 #: Every kernel this benchmark knows, in presentation order.
 _KERNELS: Sequence[Tuple[str, Callable[[Any], Any]]] = (
     ("tableau", _tableau_kernel),
-    ("dense", _revised_kernel("dantzig", "dense")),
-    ("lu", _revised_kernel("dantzig", "lu")),
-    ("lu-partial", _revised_kernel("partial", "lu")),
-    ("lu-devex", _revised_kernel("devex", "lu")),
+    ("dense", _revised_kernel("dense")),
+    ("lu", _revised_kernel("lu")),
 )
 
 

@@ -25,8 +25,8 @@ Environment knobs honoured by :func:`run_table3`:
     which is how the "explodes for large problems" behaviour shows up
     without stalling the benchmark run.
 
-The revised kernel's pricing rule and basis representation are not
-harness knobs; ``benchmarks/bench_lp_kernel.py`` compares them directly.
+The revised kernel's basis representation is not a harness knob;
+``benchmarks/bench_lp_kernel.py`` compares the representations directly.
 """
 
 from __future__ import annotations

@@ -119,7 +119,7 @@ class MemoryMapper:
         threaded through the retry loop instead of a fresh one — this is
         how the explore subsystem chains a sweep: the context of design
         point ``N-1`` (rebased via :meth:`SolveContext.from_chain_dict`)
-        seeds point ``N``'s incumbent and branching statistics.  When a
+        seeds point ``N``'s incumbent and root basis.  When a
         context is given it is used even with ``warm_retries=False``.
         """
         preprocessor = Preprocessor(

@@ -41,6 +41,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     TimeoutError as FutureTimeoutError,
 )
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
@@ -344,17 +345,34 @@ class MappingEngine:
         attempts = {index: 1 for index in pending}
         if self._persistent_active:
             # Sized to the engine, not this batch: later waves may be wider.
+            size = self.jobs
             if self._persistent is None:
-                self._persistent = self._make_pool(self.jobs)
+                self._persistent = self._make_pool(size)
             executor = self._persistent
         else:
-            executor = self._make_pool(min(self.jobs, len(pending)))
+            size = min(self.jobs, len(pending))
+            executor = self._make_pool(size)
         abandoned = False
+        futures: Dict[int, Future] = {}
+
+        def submit(index: int) -> None:
+            nonlocal executor
+            try:
+                futures[index] = executor.submit(execute_payload, payloads[index])
+            except BrokenProcessPool:
+                # A worker died and took the pool with it.  Replace it so
+                # this submission, any retry and every later run() (the
+                # persistent pool outlives the batch) get live workers.
+                executor.shutdown(wait=False, cancel_futures=True)
+                fresh = self._make_pool(size)
+                if executor is self._persistent:
+                    self._persistent = fresh
+                executor = fresh
+                futures[index] = executor.submit(execute_payload, payloads[index])
+
         try:
-            futures: Dict[int, Future] = {
-                index: executor.submit(execute_payload, payloads[index])
-                for index in pending
-            }
+            for index in pending:
+                submit(index)
             # Collect in submission order: determinism costs nothing here
             # because every future must finish before run() returns anyway.
             for index in pending:
@@ -395,9 +413,7 @@ class MappingEngine:
                     except Exception as exc:  # worker crashed or raised
                         if attempts[index] <= self.retries:
                             attempts[index] += 1
-                            futures[index] = executor.submit(
-                                execute_payload, payloads[index]
-                            )
+                            submit(index)
                             continue
                         results[index] = JobResult(
                             index=index,

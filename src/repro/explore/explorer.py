@@ -9,9 +9,9 @@ Execution is *wavefront-parallel over warm chains*: every sweep of the
 grid is one chain of adjacent design points, and at step ``k`` the
 explorer runs point ``k`` of every chain as one engine batch.  Chains are
 warm-chained — each job carries the previous point's
-:meth:`~repro.ilp.SolveContext.chain_dict` (incumbent assignment plus
-pseudo-cost branching statistics, both keyed by name), so the solver
-starts from a near-optimal incumbent instead of from scratch.  Because
+:meth:`~repro.ilp.SolveContext.chain_dict` (incumbent assignment keyed by
+name, plus the root basis), so the solver starts from a near-optimal
+incumbent instead of from scratch.  Because
 the chain structure depends only on the grid, the mapping results are
 fingerprint-identical across reruns and worker counts; warm chaining
 changes only the solver effort (fewer LP solves), never the mappings.

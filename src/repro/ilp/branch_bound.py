@@ -203,10 +203,6 @@ class BranchAndBoundSolver:
         if self._lp_backend == "revised":
             attempt = discarded if discarded is not None else result
             stats.add_lp(attempt)
-            if attempt.pricing:
-                stats.pricing_pivots[attempt.pricing] = (
-                    stats.pricing_pivots.get(attempt.pricing, 0) + attempt.iterations
-                )
             if discarded is not None:
                 # The discarded attempt's work is still accounted (its own
                 # LP solve and iterations), but it does not count as a

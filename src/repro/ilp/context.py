@@ -28,10 +28,12 @@ Name-keyed state is also what makes contexts *chainable across adjacent
 design points*: a sweep that changes one knob at a time (the
 ``repro.explore`` subsystem) keeps most structure and bank-type names
 stable from one point to the next, so the previous point's incumbent
-assignment and branching statistics remain useful seeds even though the
-models differ.  :meth:`SolveContext.chain_dict` exports exactly that
-transferable subset and :meth:`SolveContext.from_chain_dict` rebuilds a
-context from it; model-specific state (the cached standard form, the
+assignment remains a useful seed even though the models differ.
+:meth:`SolveContext.chain_dict` exports exactly that transferable subset
+(plus the root basis) and :meth:`SolveContext.from_chain_dict` rebuilds a
+context from it.  Pseudo-costs stay within one solve and its retries:
+every mapping model branches on its SOS-1 groups, so no chained solve
+ever read them.  Model-specific state (the cached standard form, the
 full-space warm-start vector, the counters) never crosses the chain.
 """
 
@@ -205,15 +207,13 @@ class SolveContext:
         """The name-keyed state transferable to an *adjacent* model's solve.
 
         This is the explore subsystem's chaining hook: the previous design
-        point's incumbent assignment (by structure/type name) plus the
-        pseudo-cost branching statistics (by variable name).  Everything
-        tied to this context's concrete model — the cached standard form,
-        the full-space warm-start vector, the counters — is deliberately
-        left behind.
+        point's incumbent assignment (by structure/type name) and its root
+        basis.  Everything tied to this context's concrete model — the
+        cached standard form, the full-space warm-start vector, the
+        pseudo-costs, the counters — is deliberately left behind.
         """
         return {
             "kind": "solve_context_chain",
-            "pseudocosts": {k: v.as_dict() for k, v in self.pseudocosts.items()},
             "seed_assignment": (
                 None if self.seed_assignment is None else dict(self.seed_assignment)
             ),
@@ -228,12 +228,12 @@ class SolveContext:
 
     @classmethod
     def from_chain_dict(cls, data: Mapping[str, Any]) -> "SolveContext":
-        """Fresh context seeded with a previous point's :meth:`chain_dict`."""
+        """Fresh context seeded with a previous point's :meth:`chain_dict`.
+
+        A ``pseudocosts`` key, which chains written by older versions
+        carry (a resumed checkpoint, say), is ignored.
+        """
         ctx = cls()
-        ctx.pseudocosts = {
-            k: PseudoCost.from_dict(v)
-            for k, v in (data.get("pseudocosts") or {}).items()
-        }
         seed = data.get("seed_assignment")
         ctx.seed_assignment = None if seed is None else dict(seed)
         basis = data.get("warm_basis")

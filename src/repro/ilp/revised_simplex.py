@@ -45,14 +45,11 @@ all-slack basis and run a primal phase 1 (minimising the total bound
 violation of the basic variables with short-step blocking) followed by
 a primal phase 2.
 
-Pricing is selectable (``RevisedOptions.pricing``): classic full
-Dantzig scans, *partial pricing* that cycles a candidate-list window
-over the column blocks and prices only one window per pivot, or a
-primal *Devex* mode using reference-framework weights.  The dual loop
-has its own optional Devex row weighting (``dual_pricing``).  Every
-rule shares the Bland's-rule anti-cycling fallback after a stall, and
-post-optimality canonicalization always uses the full Dantzig scan so
-the returned vertex is identical across pricing rules and solve paths.
+Primal pricing is a full Dantzig scan (most negative reduced cost) and
+the dual loop leaves on the largest bound violation; both switch to
+Bland's rule after a stall.  After optimality the kernel always walks
+the optimal face to a canonical vertex, so the returned solution is
+identical across solve paths and basis representations.
 
 Warm solves (:meth:`RevisedSimplex.solve` with a ``basis``) refactorize
 the supplied basis, repair dual feasibility by bound flips where
@@ -81,14 +78,14 @@ AT_LOWER = 1
 AT_UPPER = 2
 FREE = 3  # nonbasic at value zero (no finite bound to rest on)
 
+#: pivot eligibility and improvement tolerance
+_TOL = 1e-9
 #: primal feasibility tolerance (solution values, not pivot eligibility)
 _PTOL = 1e-7
 #: dual feasibility tolerance used when accepting a warm basis
 _DTOL = 1e-7
 
 _FACTORIZATIONS = ("auto", "dense", "lu")
-_PRICINGS = ("dantzig", "partial", "devex")
-_DUAL_PRICINGS = ("violation", "devex")
 
 
 @dataclass
@@ -96,24 +93,16 @@ class RevisedOptions:
     """Tuning knobs for the revised simplex kernel."""
 
     max_iterations: int = 20000
-    #: switch from the pricing rule to Bland's anti-cycling rule after
+    #: switch from Dantzig pricing to Bland's anti-cycling rule after
     #: this many iterations without objective (or infeasibility)
     #: improvement.
     stall_iterations: int = 200
-    tolerance: float = 1e-9
     #: hard cap on pivots (dense mode) / update etas (LU mode) between
     #: refactorizations — the numerical-drift backstop the
     #: refactorization-drift tests pin.  Adaptive triggers (fill-in,
     #: residual breach) may refactorize sooner; this never lets the eta
     #: file grow past the cap.
     refactor_interval: int = 64
-    #: after optimality, pivot along the optimal face (zero-reduced-cost
-    #: columns only — provably objective-preserving) to the vertex
-    #: minimising a fixed generic secondary objective.  This makes the
-    #: returned vertex independent of the solve path, so a dual warm
-    #: re-solve and a cold solve of the same node give byte-identical
-    #: solutions — the property the warm-vs-cold fingerprint tests pin.
-    canonicalize: bool = True
     #: basis representation: ``"dense"`` keeps an explicit ``B⁻¹``
     #: (fastest for tiny bases), ``"lu"`` a Markowitz sparse LU with a
     #: product-form eta file (scales with non-zeros, not ``m²``), and
@@ -124,18 +113,6 @@ class RevisedOptions:
     #: it, one vectorised dense mat-vec still beats sparse
     #: substitution; above it the O(m²) updates dominate).
     lu_threshold: int = 500
-    #: primal entering-column rule: ``"dantzig"`` (full most-negative
-    #: scan), ``"partial"`` (candidate-list cycling over column blocks),
-    #: or ``"devex"`` (reference-framework weights).  Anti-cycling and
-    #: canonicalization behave identically under every rule.
-    pricing: str = "dantzig"
-    #: partial-pricing window size; ``0`` sizes it automatically
-    #: (``max(32, total/8)``).
-    pricing_block: int = 0
-    #: dual leaving-row rule for warm re-solves: ``"violation"``
-    #: (largest bound violation) or ``"devex"`` (violation² over
-    #: steepest-edge reference weights).
-    dual_pricing: str = "violation"
     #: adaptive trigger — refactorize when the eta file's non-zeros
     #: exceed this multiple of the base factorization's fill (LU mode).
     refactor_fill_factor: float = 8.0
@@ -145,8 +122,6 @@ class RevisedOptions:
     residual_interval: int = 16
     #: residual magnitude that counts as a breach.
     residual_tol: float = 1e-6
-    #: Markowitz threshold-pivoting stability factor (LU mode).
-    markowitz_tol: float = 0.01
 
 
 @dataclass
@@ -209,16 +184,6 @@ class RevisedSimplex:
                 f"unknown factorization {self.options.factorization!r} "
                 f"(expected one of {_FACTORIZATIONS})"
             )
-        if self.options.pricing not in _PRICINGS:
-            raise ValueError(
-                f"unknown pricing rule {self.options.pricing!r} "
-                f"(expected one of {_PRICINGS})"
-            )
-        if self.options.dual_pricing not in _DUAL_PRICINGS:
-            raise ValueError(
-                f"unknown dual pricing rule {self.options.dual_pricing!r} "
-                f"(expected one of {_DUAL_PRICINGS})"
-            )
         self._A_ub_sparse = form.A_ub_sparse
         self._A_eq_sparse = form.A_eq_sparse
         self._c_structural = form.c
@@ -272,9 +237,6 @@ class RevisedSimplex:
         self._solve_etas_applied = 0
         self._solve_ftran_nnz = 0
         self._solve_btran_nnz = 0
-        self._partial_cursor = 0
-        self._devex_w: Optional[np.ndarray] = None
-        self._dual_w: Optional[np.ndarray] = None
 
     def _build_csc(self, form: StandardForm) -> None:
         ub, eq = form.A_ub_sparse, form.A_eq_sparse
@@ -361,26 +323,6 @@ class RevisedSimplex:
             )
         if self.m:
             d[self.n :] -= y
-        return d
-
-    def _reduced_costs_range(
-        self, costs: np.ndarray, y: np.ndarray, lo: int, hi: int
-    ) -> np.ndarray:
-        """``costs − yᵀW`` restricted to columns ``[lo, hi)`` (partial pricing)."""
-        d = costs[lo:hi].copy()
-        n = self.n
-        if lo < n:
-            chi = min(hi, n)
-            p0, p1 = int(self._csc_ptr[lo]), int(self._csc_ptr[chi])
-            if p1 > p0:
-                d[: chi - lo] -= np.bincount(
-                    self._csc_cols[p0:p1] - lo,
-                    weights=self._csc_vals[p0:p1] * y[self._csc_rows[p0:p1]],
-                    minlength=chi - lo,
-                )
-        if hi > n:
-            slo = max(lo, n)
-            d[slo - lo :] -= y[slo - n : hi - n]
         return d
 
     # ---------------------------------------------------------- FTRAN / BTRAN
@@ -497,9 +439,6 @@ class RevisedSimplex:
         self._solve_etas_applied = 0
         self._solve_ftran_nnz = 0
         self._solve_btran_nnz = 0
-        self._partial_cursor = 0
-        self._devex_w = None
-        self._dual_w = None
         self.lower = np.concatenate([np.asarray(lb, dtype=np.float64), self._slack_lower()])
         self.upper = np.concatenate([np.asarray(ub, dtype=np.float64), self._slack_upper()])
         if np.any(self.lower > self.upper + _PTOL):
@@ -590,9 +529,7 @@ class RevisedSimplex:
                 matrix[rows, k] = vals
             factor = DenseFactors.from_matrix(matrix)
         else:
-            factor = factorize_markowitz(
-                columns, self.m, self.options.markowitz_tol
-            )
+            factor = factorize_markowitz(columns, self.m)
         if factor is None:
             return False
         self._factor = factor
@@ -670,7 +607,7 @@ class RevisedSimplex:
         # bound exists; give up (cold start) when it does not.
         y = self._btran(self.c[self.basis])
         d = self._reduced_costs(self.c, y)
-        movable = (self.upper - self.lower > self.options.tolerance) & (self.status != BASIC)
+        movable = (self.upper - self.lower > _TOL) & (self.status != BASIC)
         bad_lower = movable & (self.status == AT_LOWER) & (d < -_DTOL)
         if np.any(bad_lower & ~np.isfinite(self.upper)):
             return False
@@ -754,7 +691,7 @@ class RevisedSimplex:
             )
             if infeasibility <= _PTOL:
                 return "feasible", iterations
-            if infeasibility < best - opts.tolerance:
+            if infeasibility < best - _TOL:
                 best = infeasibility
                 stall = 0
             elif stall > opts.stall_iterations and not bland:
@@ -788,12 +725,11 @@ class RevisedSimplex:
         zero-reduced-cost column leaves every reduced cost unchanged.
         Minimising the fixed generic secondary objective over that face
         lands on one well-defined vertex no matter how the solve got to
-        optimality — warm dual path and cold primal path included.  The
-        face walk always uses the full Dantzig scan, so the vertex is
-        also independent of the configured pricing rule.
+        optimality — warm dual path and cold primal path included — so a
+        dual warm re-solve and a cold solve of the same node give
+        byte-identical solutions, the property the warm-vs-cold
+        fingerprint tests pin.
         """
-        if not self.options.canonicalize:
-            return 0
         status, iterations = self._primal_loop(self._secondary, face_costs=self.c)
         # "unbounded" (an unbounded optimal face) and "error" both simply
         # keep the current — already optimal — vertex.
@@ -815,60 +751,26 @@ class RevisedSimplex:
         bland = False
         best = math.inf
         limit = opts.max_iterations if face_costs is None else 2 * self.total + 16
-        if opts.pricing == "devex" and face_costs is None:
-            self._devex_w = np.ones(self.total)
-        try:
-            while iterations < limit:
-                entering, direction = self._price(costs, bland, face_costs=face_costs)
-                if entering < 0:
-                    return "optimal", iterations
-                alpha = self._ftran_column(entering)
-                step, blocker, land_upper = self._ratio_test(entering, direction, alpha, bland)
-                if step is None:
-                    return "unbounded", iterations
-                if (
-                    self._devex_w is not None
-                    and face_costs is None
-                    and blocker != -1
-                ):
-                    self._devex_update(entering, blocker, alpha)
-                self._apply_step(entering, direction, alpha, step, blocker, land_upper)
-                iterations += 1
-                objective = float(costs @ self._current_values())
-                if objective < best - opts.tolerance:
-                    best = objective
-                    stall = 0
-                elif stall > opts.stall_iterations and not bland:
-                    bland = True
-                    self.bland_switches += 1
-                else:
-                    stall += 1
-            return "error", iterations
-        finally:
-            if face_costs is None:
-                self._devex_w = None
-
-    def _devex_update(self, entering: int, blocker: int, alpha: np.ndarray) -> None:
-        """Devex reference-weight update for the pivot about to happen.
-
-        Must run *before* the basis arrays change: it needs the leaving
-        variable at ``basis[blocker]`` and the pre-pivot ``B⁻¹``.
-        """
-        ar = alpha[blocker]
-        if abs(ar) <= 1e-12:
-            return
-        rho = self._btran_unit(blocker)
-        alpha_row = self._pi_row(rho)
-        wq = max(float(self._devex_w[entering]), 1.0)
-        candidate = (alpha_row / ar) ** 2 * wq
-        np.maximum(self._devex_w, candidate, out=self._devex_w)
-        leaving = int(self.basis[blocker])
-        self._devex_w[leaving] = max(wq / (ar * ar), 1.0)
-        self._devex_w[entering] = 1.0
-        if float(self._devex_w.max()) > 1e8:
-            # Reference-framework reset: weights have drifted too far to
-            # steer reliably; restart from the unit frame.
-            self._devex_w[:] = 1.0
+        while iterations < limit:
+            entering, direction = self._price(costs, bland, face_costs=face_costs)
+            if entering < 0:
+                return "optimal", iterations
+            alpha = self._ftran_column(entering)
+            step, blocker, land_upper = self._ratio_test(entering, direction, alpha, bland)
+            if step is None:
+                return "unbounded", iterations
+            self._apply_step(entering, direction, alpha, step, blocker, land_upper)
+            iterations += 1
+            objective = float(costs @ self._current_values())
+            if objective < best - _TOL:
+                best = objective
+                stall = 0
+            elif stall > opts.stall_iterations and not bland:
+                bland = True
+                self.bland_switches += 1
+            else:
+                stall += 1
+        return "error", iterations
 
     def _price(
         self,
@@ -876,82 +778,34 @@ class RevisedSimplex:
         bland: bool,
         face_costs: Optional[np.ndarray] = None,
     ) -> Tuple[int, int]:
-        """Pick the entering column under the configured pricing rule.
+        """Pick the entering column: Dantzig's most improving reduced cost,
+        or the lowest eligible index in Bland mode.
 
-        Bland mode and canonicalization face walks always run the full
-        scan (termination guarantee / path independence); otherwise the
-        rule is ``dantzig``, ``partial`` (candidate-list cycling), or
-        ``devex`` when a weight frame is active.
+        With ``face_costs`` only columns that price to zero under that
+        vector are eligible (the canonicalization face walk).
         """
-        tol = self.options.tolerance
         y = self._btran(costs[self.basis])
-        if (
-            face_costs is None
-            and not bland
-            and self.options.pricing == "partial"
-        ):
-            return self._price_partial(costs, y)
         d = self._reduced_costs(costs, y)
-        movable = self.upper - self.lower > tol
+        movable = self.upper - self.lower > _TOL
         nonbasic = (self.status != BASIC) & movable
         if face_costs is not None:
             y_face = self._btran(face_costs[self.basis])
             d_face = self._reduced_costs(face_costs, y_face)
             nonbasic &= np.abs(d_face) <= _DTOL
         increase = nonbasic & (
-            ((self.status == AT_LOWER) | (self.status == FREE)) & (d < -tol)
+            ((self.status == AT_LOWER) | (self.status == FREE)) & (d < -_TOL)
         )
         decrease = nonbasic & (
-            ((self.status == AT_UPPER) | (self.status == FREE)) & (d > tol)
+            ((self.status == AT_UPPER) | (self.status == FREE)) & (d > _TOL)
         )
         eligible = np.where(increase | decrease)[0]
         if eligible.size == 0:
             return -1, 0
         if bland:
             entering = int(eligible[0])
-        elif self._devex_w is not None and face_costs is None:
-            scores = d[eligible] ** 2 / self._devex_w[eligible]
-            entering = int(eligible[np.argmax(scores)])
         else:
             entering = int(eligible[np.argmax(np.abs(d[eligible]))])
         return entering, (1 if increase[entering] else -1)
-
-    def _price_partial(self, costs: np.ndarray, y: np.ndarray) -> Tuple[int, int]:
-        """Candidate-list partial pricing: cycle column blocks, price one.
-
-        Blocks are fixed contiguous windows; the cursor remembers which
-        window produced the last entering column and resumes there, so a
-        solve sweeps the whole column space only when pickings are slim.
-        Returning ``(-1, 0)`` required pricing *every* window — a full
-        scan's worth of evidence — so optimality claims are as strong as
-        Dantzig's.
-        """
-        tol = self.options.tolerance
-        total = self.total
-        block = self.options.pricing_block
-        if block <= 0:
-            block = max(32, -(-total // 8))
-        nblocks = -(-total // block)
-        for offset in range(nblocks):
-            index = (self._partial_cursor + offset) % nblocks
-            lo = index * block
-            hi = min(total, lo + block)
-            d = self._reduced_costs_range(costs, y, lo, hi)
-            status = self.status[lo:hi]
-            movable = self.upper[lo:hi] - self.lower[lo:hi] > tol
-            nonbasic = (status != BASIC) & movable
-            increase = nonbasic & (
-                ((status == AT_LOWER) | (status == FREE)) & (d < -tol)
-            )
-            decrease = nonbasic & (
-                ((status == AT_UPPER) | (status == FREE)) & (d > tol)
-            )
-            eligible = np.where(increase | decrease)[0]
-            if eligible.size:
-                self._partial_cursor = index
-                local = int(eligible[np.argmax(np.abs(d[eligible]))])
-                return lo + local, (1 if increase[local] else -1)
-        return -1, 0
 
     def _ratio_test(
         self,
@@ -971,7 +825,6 @@ class RevisedSimplex:
         below/above masks) infeasible basics only block when they reach
         the bound they violate; feasible basics block as usual.
         """
-        tol = self.options.tolerance
         delta = -direction * alpha  # d(x_B) per unit step of the entering var
         lowerB = self.lower[self.basis]
         upperB = self.upper[self.basis]
@@ -984,16 +837,16 @@ class RevisedSimplex:
             below = above = None
             feasible = np.ones(self.m, dtype=bool)
 
-        shrink = feasible & (delta < -tol) & np.isfinite(lowerB)
+        shrink = feasible & (delta < -_TOL) & np.isfinite(lowerB)
         ratios[shrink] = (self.x_basic[shrink] - lowerB[shrink]) / (-delta[shrink])
-        grow = feasible & (delta > tol) & np.isfinite(upperB)
+        grow = feasible & (delta > _TOL) & np.isfinite(upperB)
         ratios[grow] = (upperB[grow] - self.x_basic[grow]) / delta[grow]
         land_upper_mask[grow] = True
         if below is not None:
-            rising = below & (delta > tol)
+            rising = below & (delta > _TOL)
             ratios[rising] = (lowerB[rising] - self.x_basic[rising]) / delta[rising]
             land_upper_mask[rising] = False
-            falling = above & (delta < -tol)
+            falling = above & (delta < -_TOL)
             ratios[falling] = (self.x_basic[falling] - upperB[falling]) / (-delta[falling])
             land_upper_mask[falling] = True
         np.maximum(ratios, 0.0, out=ratios)
@@ -1002,13 +855,13 @@ class RevisedSimplex:
         bound_step = span if math.isfinite(span) else np.inf
 
         best = float(np.min(ratios))
-        if bound_step < best - tol:
+        if bound_step < best - _TOL:
             return bound_step, -1, False
         if not math.isfinite(best):
             if math.isfinite(bound_step):
                 return bound_step, -1, False
             return None, None, None
-        candidates = np.where(ratios <= best + tol)[0]
+        candidates = np.where(ratios <= best + _TOL)[0]
         if bland:
             blocker = int(candidates[np.argmin(self.basis[candidates])])
         else:
@@ -1045,12 +898,9 @@ class RevisedSimplex:
     def _dual_loop(self) -> Tuple[str, int]:
         """Bounded-variable dual simplex from the installed (dual-feasible) basis."""
         opts = self.options
-        tol = opts.tolerance
         iterations = 0
         stall = 0
         bland = False
-        if opts.dual_pricing == "devex":
-            self._dual_w = np.ones(self.m)
         # The monotone quantity of the dual simplex is the objective
         # (nondecreasing every pivot); total primal violation may
         # oscillate on the way to feasibility, so stall detection keys
@@ -1068,7 +918,7 @@ class RevisedSimplex:
             if total_viol <= _PTOL * max(1, self.m):
                 return "optimal", iterations
             objective = float(self.c @ self._current_values())
-            if objective > best_obj + tol:
+            if objective > best_obj + _TOL:
                 best_obj = objective
                 stall = 0
             else:
@@ -1083,8 +933,6 @@ class RevisedSimplex:
                     return "stalled", iterations
             if bland:
                 row = int(np.where(violation > _PTOL)[0][0])
-            elif self._dual_w is not None:
-                row = int(np.argmax(violation * violation / self._dual_w))
             else:
                 row = int(np.argmax(violation))
             leaving_below = bool(viol_low[row] >= viol_up[row])
@@ -1095,11 +943,11 @@ class RevisedSimplex:
             # below-bound basic / lower an above-bound one.
             sigma = -1.0 if leaving_below else 1.0
             alpha_eff = sigma * alpha_row
-            movable = (self.upper - self.lower > tol) & (self.status != BASIC)
+            movable = (self.upper - self.lower > _TOL) & (self.status != BASIC)
             eligible = movable & (
-                ((self.status == AT_LOWER) & (alpha_eff > tol))
-                | ((self.status == AT_UPPER) & (alpha_eff < -tol))
-                | ((self.status == FREE) & (np.abs(alpha_eff) > tol))
+                ((self.status == AT_LOWER) & (alpha_eff > _TOL))
+                | ((self.status == AT_UPPER) & (alpha_eff < -_TOL))
+                | ((self.status == FREE) & (np.abs(alpha_eff) > _TOL))
             )
             idx = np.where(eligible)[0]
             if idx.size == 0:
@@ -1112,7 +960,7 @@ class RevisedSimplex:
             ratios = d[idx] / alpha_eff[idx]
             np.maximum(ratios, 0.0, out=ratios)
             best_ratio = float(np.min(ratios))
-            ties = idx[ratios <= best_ratio + tol]
+            ties = idx[ratios <= best_ratio + _TOL]
             if bland:
                 entering = int(ties[0])
             else:
@@ -1121,8 +969,6 @@ class RevisedSimplex:
             target = lowerB[row] if leaving_below else upperB[row]
             step = (self.x_basic[row] - target) / alpha_row[entering]
             alpha = self._ftran_column(entering)
-            if self._dual_w is not None:
-                self._dual_devex_update(row, alpha)
             if self.status[entering] == AT_LOWER:
                 value = self.lower[entering] + step
             elif self.status[entering] == AT_UPPER:
@@ -1139,17 +985,6 @@ class RevisedSimplex:
             iterations += 1
         return "stalled", iterations
 
-    def _dual_devex_update(self, row: int, alpha: np.ndarray) -> None:
-        """Dual Devex row-weight update from the entering column ``alpha``."""
-        ar = alpha[row]
-        if abs(ar) <= 1e-12:
-            return
-        candidate = (alpha / ar) ** 2 * self._dual_w[row]
-        np.maximum(self._dual_w, candidate, out=self._dual_w)
-        self._dual_w[row] = max(float(self._dual_w[row]) / (ar * ar), 1.0)
-        if float(self._dual_w.max()) > 1e8:
-            self._dual_w[:] = 1.0
-
     # ----------------------------------------------------------------- result
     def _result(self, status: str, iterations: int, warm: bool = False,
                 reused: bool = False) -> LpResult:
@@ -1160,7 +995,6 @@ class RevisedSimplex:
             ftran_nnz=self._solve_ftran_nnz,
             btran_nnz=self._solve_btran_nnz,
             refactor_triggers=dict(self._solve_triggers),
-            pricing=self.options.pricing,
         )
         if status != OPTIMAL:
             return LpResult(status, iterations=iterations, warm=warm,

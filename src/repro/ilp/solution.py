@@ -24,8 +24,8 @@ ERROR = "error"
 
 _SUCCESS_STATUSES = frozenset({OPTIMAL, FEASIBLE})
 
-#: A counter broken down by a label (refactorization trigger, pricing
-#: rule, presolve reduction); folded key by key.
+#: A counter broken down by a label (refactorization trigger, presolve
+#: reduction); folded key by key.
 Counts = Dict[str, int]
 
 
@@ -61,8 +61,6 @@ class SolveStats:
     #: refactorization counts keyed by what triggered them
     #: ("start", "interval", "fill", "residual").
     refactor_triggers: Counts = field(default_factory=dict)
-    #: simplex pivots keyed by the pricing rule that chose them.
-    pricing_pivots: Counts = field(default_factory=dict)
     incumbent_updates: int = 0
     #: incumbents injected by the primal heuristic portfolio (dives/LNS).
     heuristic_incumbents: int = 0
@@ -122,8 +120,6 @@ class LpResult:
     btran_nnz: int = 0
     #: this solve's refactorizations keyed by trigger.
     refactor_triggers: Counts = field(default_factory=dict)
-    #: pricing rule the solve ran under ("" for non-revised kernels).
-    pricing: str = ""
     #: structural reduced costs at the optimal basis (revised kernel
     #: only).  Branch-and-bound turns these into valid child-bound lifts
     #: (reduced-cost penalties) that prune children before any LP.

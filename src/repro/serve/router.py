@@ -231,7 +231,6 @@ class _Replica:
     #: Submissions ever routed here (shard-balance accounting).
     routed: int = 0
     consecutive_failures: int = 0
-    last_health: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
         split = urlsplit(self.url if "//" in self.url else f"http://{self.url}")
@@ -251,7 +250,6 @@ class _RouterJob:
     #: Last observed status wire document (router-id rewritten).
     last: Dict[str, Any] = field(default_factory=dict)
     terminal: bool = False
-    resubmits: int = 0
 
 
 class RouterService:
@@ -294,7 +292,6 @@ class RouterService:
         self.supervisor = supervisor
 
         self._jobs: "OrderedDict[str, _RouterJob]" = OrderedDict()
-        self._by_replica_job: Dict[Tuple[str, str], str] = {}
         self._ids = itertools.count(1)
         self._health_task: Optional[asyncio.Task] = None
         self._started_monotonic = 0.0
@@ -432,7 +429,6 @@ class RouterService:
             replica_job_id=str(status_wire.get("job_id", "")),
         )
         self._jobs[router_id] = job
-        self._by_replica_job[(replica.name, job.replica_job_id)] = router_id
         self._observe(job, status_wire, replica)
         if not job.terminal:
             replica.inflight += 1
@@ -617,9 +613,6 @@ class RouterService:
             if not evicted.terminal:
                 break  # never evict a live job
             del self._jobs[evicted_id]
-            self._by_replica_job.pop(
-                (evicted.replica, evicted.replica_job_id), None
-            )
 
     async def _poll_replica(
         self, replica: _Replica
@@ -634,7 +627,6 @@ class RouterService:
             report = HealthReport.from_wire(document)
         except Exception:
             return None
-        replica.last_health = document
         return report
 
     async def _health_loop(self) -> None:
@@ -725,11 +717,8 @@ class RouterService:
         if status >= 400 or not isinstance(document, dict):
             self.counters["proxy_errors"] += 1
             return
-        self._by_replica_job.pop((job.replica, job.replica_job_id), None)
         job.replica = target.name
         job.replica_job_id = str(document.get("job_id", ""))
-        job.resubmits += 1
-        self._by_replica_job[(target.name, job.replica_job_id)] = job.router_id
         self.counters["rerouted_jobs"] += 1
         target.routed += 1
         self._observe(job, document, target)

@@ -54,18 +54,15 @@ class TestQuickRun:
         by_family = {}
         for row in quick_payload["results"]:
             by_family.setdefault(row["family"], set()).add(row["kernel"])
-        # Finite-lb fuzz families run all five kernels ...
-        assert by_family["feasible"] == {
-            "tableau", "dense", "lu", "lu-partial", "lu-devex"
-        }
+        # Finite-lb fuzz families run all three kernels ...
+        assert by_family["feasible"] == {"tableau", "dense", "lu"}
         # ... while infinite lower bounds and large sparse rows exclude
         # the tableau (outside its contract / quadratic in m).
         assert "tableau" not in by_family["mixed"]
         sparse = [f for f in by_family if f.startswith("large-sparse-")]
         assert sparse
         for family in sparse:
-            assert by_family[family] == {"dense", "lu", "lu-partial",
-                                         "lu-devex"}
+            assert by_family[family] == {"dense", "lu"}
 
     def test_large_sparse_lu_runs_on_the_eta_file(self, quick_payload):
         lu_rows = [r for r in quick_payload["results"]

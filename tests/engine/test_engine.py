@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.arch import flex10k_board, hierarchical_board, virtex_board
@@ -333,3 +335,53 @@ class TestPersistentPool:
         with engine.persistent_pool():
             pooled = engine.run(small_batch())
         assert [r.fingerprint for r in pooled] == [r.fingerprint for r in plain]
+
+
+def _dying_payload(payload):
+    """Kill the worker process the first time a job's marker is unset."""
+    marker = payload["solver_options"]["die_once"]
+    if marker and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return {"status": STATUS_OK, "wall_time": 0.0, "result": None}
+
+
+class TestDeadWorker:
+    """A worker that dies breaks its pool; the engine must not stay broken."""
+
+    def jobs(self, tmp_path, die=True):
+        """Two distinct jobs; with ``die`` the first kills its worker once."""
+        return [
+            MappingJob(
+                board=virtex_board("XCV1000"), design=fir_filter_design(),
+                solver="bnb-pure", label=f"job-{index}",
+                # ``n`` keeps the payloads distinct, so the jobs are not
+                # coalesced and genuinely run on the pool.
+                solver_options={
+                    "die_once": str(tmp_path / "died") if die and index == 0 else "",
+                    "n": index,
+                },
+            )
+            for index in range(2)
+        ]
+
+    def test_retry_runs_on_a_fresh_pool(self, monkeypatch, tmp_path):
+        import repro.engine.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "execute_payload", _dying_payload)
+        results = MappingEngine(jobs=2, retries=1).run(self.jobs(tmp_path))
+        assert [r.status for r in results] == [STATUS_OK, STATUS_OK]
+
+    def test_persistent_pool_recovers_for_the_next_run(self, monkeypatch, tmp_path):
+        import repro.engine.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "execute_payload", _dying_payload)
+        engine = MappingEngine(jobs=2)
+        with engine.persistent_pool():
+            broken = engine.run(self.jobs(tmp_path))
+            assert broken[0].status == "error"
+            # These jobs never die; they fail only if the dead pool is
+            # still in use.
+            for _ in range(2):
+                again = engine.run(self.jobs(tmp_path, die=False))
+                assert [r.status for r in again] == [STATUS_OK, STATUS_OK]

@@ -119,7 +119,20 @@ class TestChainDict:
         ctx.note_assignment({"a": "t0", "b": "t1"})
         chained = SolveContext.from_chain_dict(ctx.chain_dict())
         assert chained.seed_assignment == {"a": "t0", "b": "t1"}
-        assert chained.pseudocost("Z[a|t0]").down_sum == pytest.approx(2.0)
+        # Pseudo-costs stay with the solve that learned them.
+        assert "pseudocosts" not in ctx.chain_dict()
+        assert chained.pseudocosts == {}
+
+    def test_chain_with_legacy_pseudocosts_still_resumes(self):
+        legacy = {
+            "kind": "solve_context_chain",
+            "pseudocosts": {"Z[a|t0]": {"down_sum": 2.0, "down_count": 1}},
+            "seed_assignment": {"a": "t0"},
+            "warm_basis": None,
+        }
+        chained = SolveContext.from_chain_dict(legacy)
+        assert chained.seed_assignment == {"a": "t0"}
+        assert chained.pseudocosts == {}
 
     def test_chain_dict_drops_model_specific_state(self):
         ctx = SolveContext()

@@ -6,11 +6,10 @@ instances — mixed ``==``/``<=`` rows, free/fixed/bounded variables,
 degenerate, infeasible, unbounded and large sparse cases — and
 cross-checks the revised simplex against the legacy dense tableau and
 (when SciPy is present) HiGHS.  Statuses must agree exactly; objectives
-to 1e-6.  On top of the kernel cross-check, every pricing rule
-(Dantzig / partial / Devex) and both basis representations (dense
-inverse / sparse LU) must agree with each other — the canonicalization
-step pins the final vertex, so even the *solution vectors* are
-compared.  The corpus is a fixed seed list so the suite is
+to 1e-6.  On top of the kernel cross-check, both basis representations
+(dense inverse / sparse LU) must agree with each other — the
+canonicalization step pins the final vertex, so even the *solution
+vectors* are compared.  The corpus is a fixed seed list so the suite is
 deterministic and runs as part of tier-1; when a fuzz failure is found
 in the wild, append its seed to the matching corpus tuple below so it
 becomes a permanent regression case (see CONTRIBUTING.md).
@@ -50,17 +49,10 @@ UNBOUNDED_SEEDS = tuple(range(300, 308))
 DEGENERATE_SEEDS = tuple(range(400, 406))
 LARGE_SPARSE_SEEDS = (500, 501, 502)
 
-#: every (pricing, factorization) pair the kernel supports, exercised
-#: against the references below.  Devex under both representations,
-#: partial pricing under LU (its motivating combination), Dantzig under
-#: forced LU (the auto default at fuzz sizes is dense).
-PRICING_VARIANTS = (
-    ("dantzig", "lu"),
-    ("partial", "dense"),
-    ("partial", "lu"),
-    ("devex", "dense"),
-    ("devex", "lu"),
-)
+#: both basis representations, each forced (the auto default at fuzz
+#: sizes is dense).  The ``test_pricing_rules_*`` cases check these; their
+#: names date from when the kernel also had partial and Devex pricing.
+FACTORIZATIONS = ("dense", "lu")
 
 
 # --------------------------------------------------------------------------
@@ -87,31 +79,21 @@ def _assert_agree(form, expected_status=None, check_tableau=True):
     return results["revised"]
 
 
-def _assert_pricing_rules_agree(form, reference=None):
-    """Every pricing rule × factorization must reproduce the reference.
+def _assert_factorizations_agree(form):
+    """The dense inverse and the sparse LU must return the same answer.
 
-    The post-optimality canonicalization step runs under a full Dantzig
-    scan regardless of the pricing rule, so on optimal instances the
-    final vertex — not just the objective — is rule-independent.
+    The post-optimality canonicalization step pins the optimal vertex,
+    so on optimal instances the solution vector — not just the
+    objective — is representation-independent.
     """
-    if reference is None:
-        reference = solve_lp_revised(form, RevisedOptions())
-    for pricing, factorization in PRICING_VARIANTS:
-        variant = solve_lp_revised(
-            form, RevisedOptions(pricing=pricing, factorization=factorization)
-        )
-        label = f"{pricing}/{factorization}"
-        assert variant.status == reference.status, (
-            f"{label}: {variant.status} != {reference.status}"
-        )
-        if reference.status == "optimal":
-            assert variant.objective == pytest.approx(
-                reference.objective, abs=1e-6
-            ), label
-            np.testing.assert_allclose(
-                variant.x, reference.x, atol=1e-6, err_msg=label
-            )
-    return reference
+    dense, lu = (
+        solve_lp_revised(form, RevisedOptions(factorization=factorization))
+        for factorization in FACTORIZATIONS
+    )
+    assert lu.status == dense.status
+    if dense.status == "optimal":
+        assert lu.objective == pytest.approx(dense.objective, abs=1e-6)
+        np.testing.assert_allclose(lu.x, dense.x, atol=1e-6)
 
 
 class TestFuzzFeasible:
@@ -121,7 +103,7 @@ class TestFuzzFeasible:
 
     @pytest.mark.parametrize("seed", FEASIBLE_SEEDS[:10])
     def test_pricing_rules_reach_the_same_vertex(self, seed):
-        _assert_pricing_rules_agree(feasible_box_lp(seed))
+        _assert_factorizations_agree(feasible_box_lp(seed))
 
 
 class TestFuzzMixedVariables:
@@ -132,7 +114,7 @@ class TestFuzzMixedVariables:
 
     @pytest.mark.parametrize("seed", MIXED_VAR_SEEDS[:6])
     def test_pricing_rules_agree_on_mixed_variables(self, seed):
-        _assert_pricing_rules_agree(mixed_variable_lp(seed))
+        _assert_factorizations_agree(mixed_variable_lp(seed))
 
 
 class TestFuzzInfeasible:
@@ -142,7 +124,7 @@ class TestFuzzInfeasible:
 
     @pytest.mark.parametrize("seed", INFEASIBLE_SEEDS[:3])
     def test_pricing_rules_agree_on_infeasibility(self, seed):
-        _assert_pricing_rules_agree(infeasible_lp(seed))
+        _assert_factorizations_agree(infeasible_lp(seed))
 
 
 class TestFuzzUnbounded:
@@ -152,7 +134,7 @@ class TestFuzzUnbounded:
 
     @pytest.mark.parametrize("seed", UNBOUNDED_SEEDS[:3])
     def test_pricing_rules_agree_on_unboundedness(self, seed):
-        _assert_pricing_rules_agree(unbounded_lp(seed))
+        _assert_factorizations_agree(unbounded_lp(seed))
 
 
 class TestFuzzDegenerate:
@@ -162,7 +144,7 @@ class TestFuzzDegenerate:
 
     @pytest.mark.parametrize("seed", DEGENERATE_SEEDS)
     def test_pricing_rules_survive_degeneracy(self, seed):
-        _assert_pricing_rules_agree(degenerate_lp(seed))
+        _assert_factorizations_agree(degenerate_lp(seed))
 
     @pytest.mark.parametrize("seed", DEGENERATE_SEEDS[:3])
     def test_bland_mode_from_the_first_pivot(self, seed):
@@ -181,7 +163,7 @@ class TestFuzzLargeSparse:
 
     The dense tableau is excluded (it is quadratic in the row count and
     contributes nothing at this scale); dense-inverse revised, LU
-    revised under every pricing rule, and HiGHS must all agree.
+    revised and HiGHS must all agree.
     """
 
     @pytest.mark.parametrize("seed", LARGE_SPARSE_SEEDS)
@@ -202,7 +184,7 @@ class TestFuzzLargeSparse:
     @pytest.mark.parametrize("seed", LARGE_SPARSE_SEEDS[:2])
     def test_pricing_rules_agree_at_scale(self, seed):
         form = large_sparse_lp(seed, m=100, n=120)
-        _assert_pricing_rules_agree(form)
+        _assert_factorizations_agree(form)
 
 
 class TestFuzzWarmEqualsCold:
@@ -231,14 +213,11 @@ class TestFuzzWarmEqualsCold:
             # Canonicalization makes the vertex itself path-independent.
             np.testing.assert_allclose(warm.x, cold.x, atol=1e-6)
 
-    @pytest.mark.parametrize("pricing,factorization", PRICING_VARIANTS)
+    @pytest.mark.parametrize("factorization", FACTORIZATIONS)
     @pytest.mark.parametrize("seed", FEASIBLE_SEEDS[:3])
-    def test_warm_equals_cold_for_every_pricing_rule(
-        self, seed, pricing, factorization
-    ):
+    def test_warm_equals_cold_for_both_factorizations(self, seed, factorization):
         form = feasible_box_lp(seed)
-        options = RevisedOptions(pricing=pricing, factorization=factorization)
-        engine = RevisedSimplex(form, options)
+        engine = RevisedSimplex(form, RevisedOptions(factorization=factorization))
         first = engine.solve(form.lb, form.ub)
         if first.status != "optimal":
             pytest.skip("generator produced a non-optimal base case")

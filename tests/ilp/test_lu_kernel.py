@@ -9,8 +9,8 @@ module covers what is new in the LU kernel generation:
   triggers disabled, then re-armed one by one),
 * each adaptive refactorization trigger firing for its own reason
   ("interval", "fill", "residual"),
-* partial pricing on a degenerate/stalling LP still terminating through
-  the anti-cycling switch,
+* a degenerate/stalling LP still terminating through the anti-cycling
+  switch under both representations,
 * the eta/nnz counters and the LU ``BasisState`` round-trip.
 """
 
@@ -29,7 +29,7 @@ from repro.ilp import (
     to_standard_form,
 )
 from repro.ilp.instances import large_sparse_lp
-from repro.ilp.lu import DenseFactors, LuFactors, factorize_markowitz
+from repro.ilp.lu import DenseFactors, factorize_markowitz
 
 
 def _random_sparse_matrix(rng, m, max_nnz_per_col=5):
@@ -166,7 +166,7 @@ class TestNumericalDrift:
         assert result.refactor_triggers.get("interval", 0) >= 1
 
 
-class TestPartialPricingAntiCycling:
+class TestStallingLpAntiCycling:
     def _stalling_lp(self):
         """Degenerate assignment-style LP that stalls greedy pricing."""
         model = Model("lu-stalling")
@@ -179,29 +179,16 @@ class TestPartialPricingAntiCycling:
         return to_standard_form(model)
 
     @pytest.mark.parametrize("factorization", ["dense", "lu"])
-    def test_partial_pricing_takes_the_bland_switch_and_terminates(
-        self, factorization
-    ):
+    def test_bland_switch_terminates(self, factorization):
         form = self._stalling_lp()
         engine = RevisedSimplex(
             form,
-            RevisedOptions(
-                pricing="partial", factorization=factorization,
-                stall_iterations=0,
-            ),
+            RevisedOptions(factorization=factorization, stall_iterations=0),
         )
         result = engine.solve(form.lb, form.ub)
         assert result.status == "optimal"
         assert result.objective == pytest.approx(-1.0, abs=1e-6)
         assert engine.bland_switches >= 1
-
-    def test_devex_also_survives_the_stalling_lp(self):
-        form = self._stalling_lp()
-        result = solve_lp_revised(
-            form, RevisedOptions(pricing="devex", stall_iterations=0)
-        )
-        assert result.status == "optimal"
-        assert result.objective == pytest.approx(-1.0, abs=1e-6)
 
 
 class TestCountersAndBasisState:
@@ -209,7 +196,6 @@ class TestCountersAndBasisState:
         form = large_sparse_lp(37, m=100, n=120)
         result = solve_lp_revised(form, RevisedOptions(factorization="lu"))
         assert result.status == "optimal"
-        assert result.pricing == "dantzig"
         assert result.etas_applied > 0
         assert result.ftran_nnz > 0
         assert result.btran_nnz > 0
@@ -260,8 +246,4 @@ class TestCountersAndBasisState:
     def test_invalid_option_strings_are_rejected(self):
         form = large_sparse_lp(53, m=20, n=24)
         with pytest.raises(ValueError):
-            RevisedSimplex(form, RevisedOptions(pricing="steepest"))
-        with pytest.raises(ValueError):
             RevisedSimplex(form, RevisedOptions(factorization="qr"))
-        with pytest.raises(ValueError):
-            RevisedSimplex(form, RevisedOptions(dual_pricing="dantzig"))

@@ -18,7 +18,6 @@ from repro.arch import virtex_board
 from repro.design import (
     fft_design,
     fir_filter_design,
-    image_pipeline_design,
     matrix_multiply_design,
 )
 from repro.io.serve import JobSubmission

@@ -80,12 +80,12 @@ class TestHelpers:
         totals = add_counters({}, {
             "lp_solves": 2, "warm_retries": True, "wall_time": 1.5, "gap": 0.0,
             "backend": "bnb", "extra": {"portfolio_cancelled": 1},
-            "pricing_pivots": {"dantzig": 4}, "retries": 1,
+            "refactor_triggers": {"start": 4}, "retries": 1,
         })
-        assert totals == {"lp_solves": 2, "pricing_pivots": {"dantzig": 4}, "retries": 1}
-        add_counters(totals, {"lp_solves": 3, "pricing_pivots": {"dantzig": 1, "devex": 2}})
+        assert totals == {"lp_solves": 2, "refactor_triggers": {"start": 4}, "retries": 1}
+        add_counters(totals, {"lp_solves": 3, "refactor_triggers": {"start": 1, "fill": 2}})
         assert totals == {
-            "lp_solves": 5, "pricing_pivots": {"dantzig": 5, "devex": 2}, "retries": 1,
+            "lp_solves": 5, "refactor_triggers": {"start": 5, "fill": 2}, "retries": 1,
         }
 
     def test_as_dict_copies_every_field(self):
