@@ -1,21 +1,20 @@
 #!/usr/bin/env python
-"""Heuristic portfolio benchmark: exact tree vs the ``--fast`` contract.
+"""Heuristics benchmark: exact tree vs the ``--fast`` contract.
 
 Runs every Table 3 design point through the two-stage mapper twice:
 
-* **exact** — ``bnb-pure`` with the primal-heuristic portfolio (diving +
-  LNS) feeding incumbents into the tree, proving optimality, and
+* **exact** — ``bnb-pure`` proving optimality, its incumbents from the
+  greedy root assignment, rounded node relaxations and integral nodes, and
 * **fast** — ``mode="fast"`` with a 5% optimality-gap contract: the
   Lagrangian fast lane first, the gap-limited exact tree as fallback.
 
-Each row reports both wall times, the achieved (certified) gap of the
-fast run, and where the exact tree's incumbents came from (portfolio
-heuristics vs LP-integral nodes).  The document lands in
-``BENCH_heuristics.json`` (``--artifact-dir``, default
-``bench-artifacts``); ``scripts/bench_compare.py --check`` validates it
-and the CI smoke job diffs a fresh ``--quick`` run against the committed
-baseline on the *deterministic* counters (exact node counts, certified
-rows, gap contract), never on wall time.
+Each row reports both wall times, the exact tree's node count and
+incumbent updates, and the achieved (certified) gap of the fast run.
+The document lands in ``BENCH_heuristics.json`` (``--artifact-dir``,
+default ``bench-artifacts``); ``scripts/bench_compare.py --check``
+validates it and the CI smoke job diffs a fresh ``--quick`` run against
+the committed baseline on the *deterministic* counters (exact node
+counts, certified rows, gap contract), never on wall time.
 
 Usage::
 
@@ -68,19 +67,13 @@ def _run_point(point, seed: int) -> Dict[str, Any]:
     gap = fast_stats.get("gap")
     gap = float(gap) if isinstance(gap, (int, float)) else None
 
-    incumbents = int(stats.get("incumbent_updates", 0))
-    heuristic = int(stats.get("heuristic_incumbents", 0))
     return {
         "label": point.label(),
         "family": _FAMILY_OF_POINT.get(point.index, "sweep"),
         "exact_wall_seconds": exact_wall,
         "exact_objective": exact.cost.weighted_total,
         "exact_nodes": int(stats.get("nodes_explored", 0)),
-        "incumbent_updates": incumbents,
-        "heuristic_incumbents": heuristic,
-        "tree_incumbents": max(0, incumbents - heuristic),
-        "dive_pivots": int(stats.get("dive_pivots", 0)),
-        "lns_rounds": int(stats.get("lns_rounds", 0)),
+        "incumbent_updates": int(stats.get("incumbent_updates", 0)),
         "fast_wall_seconds": fast_wall,
         "fast_objective": fast.cost.weighted_total,
         "fast_backend": str(fast_stats.get("backend", "")),
@@ -105,12 +98,11 @@ def run(quick: bool, seed: int = 0) -> Dict[str, Any]:
         bucket = families.setdefault(
             row["family"],
             {"points": 0, "exact_wall_seconds": 0.0, "fast_wall_seconds": 0.0,
-             "heuristic_incumbents": 0, "fast_certified": 0},
+             "fast_certified": 0},
         )
         bucket["points"] += 1
         bucket["exact_wall_seconds"] += row["exact_wall_seconds"]
         bucket["fast_wall_seconds"] += row["fast_wall_seconds"]
-        bucket["heuristic_incumbents"] += row["heuristic_incumbents"]
         bucket["fast_certified"] += int(row["fast_certified"])
 
     return {
@@ -124,9 +116,6 @@ def run(quick: bool, seed: int = 0) -> Dict[str, Any]:
         "num_points": len(rows),
         "wall_seconds": wall,
         "total_exact_nodes": sum(r["exact_nodes"] for r in rows),
-        "total_heuristic_incumbents": sum(r["heuristic_incumbents"] for r in rows),
-        "total_dive_pivots": sum(r["dive_pivots"] for r in rows),
-        "total_lns_rounds": sum(r["lns_rounds"] for r in rows),
         "num_fast_certified": sum(int(r["fast_certified"]) for r in rows),
         "all_gaps_ok": all(r["gap_ok"] for r in rows),
         "families": families,
@@ -136,21 +125,20 @@ def run(quick: bool, seed: int = 0) -> Dict[str, Any]:
 
 def render(payload: Dict[str, Any]) -> str:
     lines = [
-        f"{'point':<36} {'nodes':>5} {'heur':>4} {'exact s':>8} "
+        f"{'point':<36} {'nodes':>5} {'inc':>4} {'exact s':>8} "
         f"{'fast s':>8} {'gap':>7} {'lane':>14}"
     ]
     for row in payload["results"]:
         gap = row["fast_gap"]
         lines.append(
             f"{row['label']:<36} {row['exact_nodes']:>5} "
-            f"{row['heuristic_incumbents']:>4} "
+            f"{row['incumbent_updates']:>4} "
             f"{row['exact_wall_seconds']:>8.3f} {row['fast_wall_seconds']:>8.3f} "
             f"{'-' if gap is None else format(gap, '.4f'):>7} "
             f"{row['fast_backend']:>14}"
         )
     lines.append(
         f"totals: {payload['total_exact_nodes']} exact nodes, "
-        f"{payload['total_heuristic_incumbents']} portfolio incumbents, "
         f"{payload['num_fast_certified']}/{payload['num_points']} fast-lane "
         f"certified, gaps {'OK' if payload['all_gaps_ok'] else 'VIOLATED'}"
     )
@@ -159,7 +147,7 @@ def render(payload: Dict[str, Any]) -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="benchmark the heuristic portfolio and the fast mode")
+        description="benchmark the exact tree and the fast mode")
     parser.add_argument("--quick", action="store_true",
                         help="first six design points only (CI smoke)")
     parser.add_argument("--seed", type=int, default=0,

@@ -51,8 +51,7 @@ LP_KERNEL_KEYS = ("total_pivots", "total_etas_applied",
 #: (``benchmarks/bench_heuristics.py``) must carry.  Like the kernel
 #: benchmark, its gate runs on deterministic counters — exact node
 #: counts and the gap contract — not wall time.
-HEURISTICS_KEYS = ("gap_limit", "total_exact_nodes",
-                   "total_heuristic_incumbents", "num_fast_certified",
+HEURISTICS_KEYS = ("gap_limit", "total_exact_nodes", "num_fast_certified",
                    "all_gaps_ok")
 
 #: Keys a serve_scale artifact (``benchmarks/bench_serve_scale.py``)
@@ -312,8 +311,8 @@ def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
     if fail_over is not None:
         if baseline.get("name") == candidate.get("name") == "heuristics":
             # Heuristics artifacts gate on the exact tree's node counts
-            # and the fast lane's certification rate — both deterministic
-            # under the seeded portfolio — never on wall time.
+            # and the fast lane's certification rate, both deterministic,
+            # never on wall time.
             base_nodes = float(baseline.get("total_exact_nodes") or 0.0)
             cand_nodes = float(candidate.get("total_exact_nodes") or 0.0)
             if base_nodes > 0 and \

@@ -742,7 +742,6 @@ class GlobalMapper:
         stats = SolveStats(
             wall_time=elapsed,
             incumbent_updates=incumbents,
-            heuristic_incumbents=incumbents,
             best_bound=best_bound,
             gap=gap,
             backend="fast-heuristic",

@@ -160,15 +160,6 @@ def render_full_report(result: MappingResult) -> str:
                 cols=stats.get("presolve_cols_fixed", 0),
             )
         )
-        if stats.get("heuristic_incumbents") or stats.get("lns_rounds"):
-            header.append(
-                "heuristics        : {inc} incumbent(s) from the portfolio "
-                "({dives} dive pivots, {lns} LNS rounds)".format(
-                    inc=stats.get("heuristic_incumbents", 0),
-                    dives=stats.get("dive_pivots", 0),
-                    lns=stats.get("lns_rounds", 0),
-                )
-            )
         if stats.get("basis_reuses"):
             header.append(
                 "basis reuse       : {warm} warm LP re-solves from {reuses} "

@@ -3,9 +3,9 @@
 The package provides a small modelling layer (:class:`Model`,
 :class:`~repro.ilp.expr.LinExpr`, :func:`~repro.ilp.expr.quicksum`), a
 presolve pass, a best-first branch-and-bound MILP solver with SOS-1
-branching and primal heuristics, and its LP kernels: a revised simplex with
-dual warm re-solves, the legacy dense tableau and, when SciPy is present,
-HiGHS (the default ``bnb`` backend's node LPs).  The HiGHS MILP
+branching and a greedy root incumbent, and its LP kernels: a revised
+simplex with dual warm re-solves, the legacy dense tableau and, when
+SciPy is present, HiGHS (the default ``bnb`` backend's node LPs).  The HiGHS MILP
 (``scipy-milp``) is a backend of its own.  Every solver is picked by name
 from the table in :mod:`repro.ilp.backends` and built by
 :func:`create_solver`.
@@ -43,8 +43,6 @@ from .presolve import (
     presolve,
 )
 from .branch_bound import BnBOptions, BranchAndBoundSolver
-from .diving import DIVE_STRATEGIES, DiveResult, dive, rins_dive
-from .lns import NEIGHBORHOODS, LnsOptions, LnsResult, certified_gap, lns_search
 from .backends import BACKENDS, PortfolioBackend, create_solver, resolve_backend
 from .revised_simplex import (
     BasisState,
@@ -66,6 +64,7 @@ from .solution import (
     Solution,
     SolveStats,
     add_counters,
+    certified_gap,
     sum_counters,
 )
 from .standard_form import StandardForm, to_standard_form
@@ -87,16 +86,6 @@ __all__ = [
     "BranchAndBoundSolver",
     "BnBOptions",
     "create_solver",
-    # primal heuristics
-    "dive",
-    "rins_dive",
-    "DiveResult",
-    "DIVE_STRATEGIES",
-    "lns_search",
-    "LnsOptions",
-    "LnsResult",
-    "NEIGHBORHOODS",
-    "certified_gap",
     # backend table
     "BACKENDS",
     "PortfolioBackend",
@@ -116,6 +105,7 @@ __all__ = [
     "LpResult",
     "add_counters",
     "sum_counters",
+    "certified_gap",
     "OPTIMAL",
     "FEASIBLE",
     "INFEASIBLE",

@@ -29,10 +29,12 @@ Branching strategies:
   forbidden-pair retries keep learning across solves instead of starting
   cold each time.
 
-Primal heuristics from :mod:`repro.ilp.heuristics` seed the incumbent at
-the root and try to round every node relaxation; warm starts arrive
-either explicitly (``warm_start``) or through the context's previous
-incumbent.
+Incumbents come from the greedy SOS assignment at the root and from
+rounding every node relaxation (:mod:`repro.ilp.heuristics`); warm starts
+arrive either explicitly (``warm_start``) or through the context's
+previous incumbent.  Every incumbent feeds the objective cutoff, which
+prunes nodes when they are popped and children when they are pushed,
+before any LP is solved.
 """
 
 from __future__ import annotations
@@ -47,10 +49,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .context import SolveContext
-from .diving import dive, rins_dive
 from .errors import ModelError, SolverError
 from .heuristics import round_with_sos, sos_greedy_assignment
-from .lns import LnsOptions, lns_search
 from .model import Model
 from .presolve import Postsolve, presolve as run_presolve, propagate_bounds
 from .revised_simplex import BasisState, RevisedSimplex
@@ -67,6 +67,7 @@ from .solution import (
     LpResult,
     Solution,
     SolveStats,
+    certified_gap,
 )
 from .standard_form import StandardForm
 
@@ -117,12 +118,6 @@ class BnBOptions:
     context: Optional[SolveContext] = None
     #: run the greedy SOS heuristic at the root to obtain an incumbent.
     root_heuristic: bool = True
-    #: primal heuristic portfolio (diving + RINS + LNS off the warm LP
-    #: kernel): "auto" enables it on SOS models, "root" forces it on,
-    #: "off" disables it.  The portfolio only *injects* incumbents through
-    #: the strict improvement filter, so the proved optimum is unchanged —
-    #: a better incumbent just prunes more of the tree.
-    heuristics: str = "auto"
     #: stop with status "feasible" once the incumbent objective is within
     #: this relative gap of the best bound — the ``--fast`` contract:
     #: ``objective <= bound * (1 + gap_limit)``.  ``None`` (default)
@@ -165,30 +160,6 @@ class BranchAndBoundSolver:
         self.options = BnBOptions(**options)
 
     # ------------------------------------------------------------------ LP
-    def _solve_lp(
-        self,
-        form: StandardForm,
-        lb: np.ndarray,
-        ub: np.ndarray,
-        basis: Optional[BasisState] = None,
-    ) -> Tuple[LpResult, Optional[LpResult]]:
-        """Solve ``form`` under the box ``[lb, ub]`` on this solve's LP kernel.
-
-        Returns ``(result, discarded)``.  On numerical trouble in the
-        revised kernel one dense tableau solve stands in as a safety net;
-        ``discarded`` is then the failed revised attempt (whose work the
-        caller may still count), otherwise ``None``.
-        """
-        if self._lp_backend == "revised":
-            result = self._revised_engine(form).solve(lb, ub, basis=basis)
-            if result.status != ERROR:
-                return result, None
-            return solve_lp_simplex(form.with_bounds(lb, ub)), result
-        bounded = form.with_bounds(lb, ub)
-        if self._lp_backend == "highs":
-            return solve_lp_highs(bounded), None
-        return solve_lp_simplex(bounded), None
-
     def _solve_relaxation(
         self,
         form: StandardForm,
@@ -197,23 +168,32 @@ class BranchAndBoundSolver:
         stats: SolveStats,
         basis: Optional[BasisState] = None,
     ) -> LpResult:
-        """A tree LP: counted in ``lp_solves`` and ``simplex_iterations``."""
+        """Solve ``form`` under the box ``[lb, ub]`` on this solve's LP kernel.
+
+        Every solve is counted in ``lp_solves`` and ``simplex_iterations``.
+        On numerical trouble in the revised kernel one dense tableau solve
+        stands in as a safety net.
+        """
         stats.lp_solves += 1
-        result, discarded = self._solve_lp(form, lb, ub, basis)
         if self._lp_backend == "revised":
-            attempt = discarded if discarded is not None else result
-            stats.add_lp(attempt)
-            if discarded is not None:
+            result = self._revised_engine(form).solve(lb, ub, basis=basis)
+            stats.add_lp(result)
+            if result.status == ERROR:
                 # The discarded attempt's work is still accounted (its own
                 # LP solve and iterations), but it does not count as a
                 # basis reuse — its result was thrown away.
-                stats.simplex_iterations += discarded.iterations
+                stats.simplex_iterations += result.iterations
                 stats.lp_solves += 1
+                result = solve_lp_simplex(form.with_bounds(lb, ub))
             else:
                 if result.basis_reused:
                     stats.basis_reuses += 1
                 if result.warm:
                     stats.warm_lp_solves += 1
+        elif self._lp_backend == "highs":
+            result = solve_lp_highs(form.with_bounds(lb, ub))
+        else:
+            result = solve_lp_simplex(form.with_bounds(lb, ub))
         stats.simplex_iterations += result.iterations
         return result
 
@@ -351,12 +331,6 @@ class BranchAndBoundSolver:
         if branching == "sos1" and not model.sos1_groups:
             raise ModelError("SOS-1 branching requested but the model has no groups")
 
-        if options.heuristics not in ("auto", "off", "root"):
-            raise ModelError(f"unknown heuristics mode {options.heuristics!r}")
-        heuristics_on = options.heuristics == "root" or (
-            options.heuristics == "auto" and bool(model.sos1_groups)
-        )
-
         form = context.standard_form(model)
         names = {i: n for i, n in enumerate(form.variable_names)}
         n = form.num_variables
@@ -382,9 +356,7 @@ class BranchAndBoundSolver:
                 if options.gap_limit is not None and math.isfinite(best_bound):
                     # Fast-mode contract semantics: certify the incumbent
                     # against the lower bound (obj <= bound * (1 + gap)).
-                    stats.gap = max(0.0, incumbent_obj - best_bound) / max(
-                        abs(best_bound), 1e-9
-                    )
+                    stats.gap = certified_gap(incumbent_obj, best_bound)
                 else:
                     denom = max(1.0, abs(incumbent_obj))
                     stats.gap = abs(incumbent_obj - best_bound) / denom
@@ -599,76 +571,6 @@ class BranchAndBoundSolver:
             if meets_gap(incumbent_obj, floor):
                 return finish(FEASIBLE, incumbent, incumbent_obj, floor)
 
-        # ------------------------------------------------ heuristic portfolio
-        def heuristic_solve_lp(
-            lb: np.ndarray, ub: np.ndarray, basis: Optional[BasisState] = None
-        ) -> LpResult:
-            """LP re-solves for the dive/LNS heuristics.
-
-            Counted separately from the tree's ``lp_solves`` so the node
-            scoreboard stays comparable across heuristic settings.
-            """
-            stats.dive_lp_solves += 1
-            result, _ = self._solve_lp(rform, lb, ub, basis)
-            stats.dive_pivots += result.iterations
-            return result
-
-        def adopt_heuristic(candidate: np.ndarray, source: str) -> None:
-            updates = stats.incumbent_updates
-            try_incumbent(post.restore(candidate))
-            if stats.incumbent_updates > updates:
-                stats.heuristic_incumbents += 1
-                sources = stats.extra.setdefault("heuristic_sources", {})
-                sources[source] = sources.get(source, 0) + 1
-
-        def run_portfolio(
-            x: np.ndarray,
-            basis: Optional[BasisState],
-            lb: np.ndarray,
-            ub: np.ndarray,
-            bound: float,
-        ) -> None:
-            """Dives, RINS and LNS from the root's fractional point."""
-            reference = incumbent[post.kept] if incumbent is not None else None
-            runs = [
-                dive(
-                    rform, group_members, heuristic_solve_lp, lb, ub, x,
-                    basis, strategy=strategy, integrality_tol=integrality_tol,
-                )
-                for strategy in ("fractional", "coefficient")
-            ]
-            if reference is not None:
-                runs.append(
-                    dive(
-                        rform, group_members, heuristic_solve_lp, lb, ub, x,
-                        basis, strategy="guided", reference=reference,
-                        integrality_tol=integrality_tol,
-                    )
-                )
-                runs.append(
-                    rins_dive(
-                        rform, group_members, heuristic_solve_lp, lb, ub, x,
-                        reference, basis, integrality_tol=integrality_tol,
-                    )
-                )
-            for run in sorted(
-                (r for r in runs if r.x is not None),
-                key=lambda r: (r.objective, r.source),
-            ):
-                adopt_heuristic(run.x, run.source)
-            if incumbent is not None and group_members:
-                improved = lns_search(
-                    rform, group_members, heuristic_solve_lp, lb, ub,
-                    incumbent[post.kept], bound,
-                    LnsOptions(),
-                    basis0=basis,
-                    accept=lambda xr, _obj: admissible(post.restore(xr)),
-                    integrality_tol=integrality_tol,
-                )
-                stats.lns_rounds += improved.rounds
-                if improved.improvements and improved.x is not None:
-                    adopt_heuristic(improved.x, "lns")
-
         # ------------------------------------------------------------ root node
         root_basis: Optional[BasisState] = None
         if reuse_basis and context.warm_basis is not None:
@@ -790,84 +692,6 @@ class BranchAndBoundSolver:
 
             try_incumbent(round_with_sos(model, root_form, post.restore(x)))
 
-            if heuristics_on and group_members and node.depth == 0:
-                # Dive portfolio + RINS + LNS off the root relaxation (its
-                # basis makes every step a dual warm re-solve).
-                run_portfolio(
-                    x,
-                    relaxation.basis if reuse_basis else None,
-                    node_lb,
-                    node_ub,
-                    bound,
-                )
-                if incumbent is not None and meets_gap(incumbent_obj, best_bound):
-                    return finish(FEASIBLE, incumbent, incumbent_obj, best_bound)
-
-            if (
-                node.depth == 0
-                and heuristics_on
-                and options.objective_cutoff
-                and incumbent is not None
-            ):
-                # Root tighten-and-resolve probe: the portfolio's incumbent
-                # lets the cutoff filter remove members from the *root*
-                # box; re-solving the root LP on the tightened box (a warm
-                # bound-change re-solve) can certify the incumbent outright.
-                # The probe is fathom-only: unless it proves optimality (or
-                # lands on an integral vertex) the original vertex, box and
-                # bound are kept for branching — adopting a merely-improved
-                # bound swaps in a different optimal vertex whose branching
-                # decisions routinely cost more nodes than the bound saves.
-                probe_lb, probe_ub = node_lb, node_ub
-                fathomed = False
-                for _ in range(3):
-                    feasible, tight_lb, tight_ub = apply_objective_cutoff(
-                        incumbent_obj - _ABS_GAP, probe_lb, probe_ub
-                    )
-                    if not feasible:
-                        # Even the cheapest completion of the root box
-                        # cannot beat the incumbent: it is optimal.
-                        return finish(
-                            OPTIMAL, incumbent, incumbent_obj, incumbent_obj
-                        )
-                    if tight_ub is probe_ub or (
-                        bool(np.array_equal(tight_lb, probe_lb))
-                        and bool(np.array_equal(tight_ub, probe_ub))
-                    ):
-                        break
-                    resolved = self._solve_relaxation(
-                        rform, tight_lb, tight_ub, stats,
-                        basis=relaxation.basis if reuse_basis else None,
-                    )
-                    if resolved.status == INFEASIBLE:
-                        return finish(
-                            OPTIMAL, incumbent, incumbent_obj, incumbent_obj
-                        )
-                    if resolved.status != OPTIMAL:
-                        break
-                    probe_lb, probe_ub = tight_lb, tight_ub
-                    resolved_bound = resolved.objective + rform.objective_offset
-                    if resolved_bound >= incumbent_obj - _ABS_GAP:
-                        return finish(
-                            OPTIMAL, incumbent, incumbent_obj, incumbent_obj
-                        )
-                    frac = np.abs(resolved.x - np.round(resolved.x))
-                    if bool(np.all(frac[rform.integrality] <= integrality_tol)):
-                        # The tightened box's LP vertex is integral: record
-                        # it and fathom the root (its children are covered
-                        # by the cutoff filter on the next pops).
-                        reduced = resolved.x.copy()
-                        reduced[rform.integrality] = np.round(
-                            reduced[rform.integrality]
-                        )
-                        try_incumbent(post.restore(reduced))
-                        fathomed = True
-                        break
-                    if resolved_bound <= bound + 1e-12:
-                        break
-                if fathomed:
-                    continue
-
             # Check the optimality gap against the best open bound.
             if incumbent is not None and math.isfinite(bound):
                 denom = max(1.0, abs(incumbent_obj))
@@ -899,8 +723,8 @@ class BranchAndBoundSolver:
                     # box (cheapest selectable member per group + interval
                     # minima) is a valid bound, so a child that cannot beat
                     # the incumbent is discarded before it ever costs a
-                    # node.  This is where a heuristic incumbent pays off
-                    # twice — it prunes at the pop *and* at the push.
+                    # node: an incumbent prunes at the push as well as at
+                    # the pop.
                     floor = structural_floor(child_lb, child_ub)
                     if floor > child_bound:
                         child_bound = floor

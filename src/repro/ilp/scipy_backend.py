@@ -42,7 +42,7 @@ __all__ = ["highs_available", "solve_lp_highs", "ScipyMilpSolver"]
 try:  # pragma: no cover - exercised implicitly on import
     from scipy.optimize import LinearConstraint, linprog, milp
     from scipy.optimize import Bounds as _Bounds
-    from scipy.sparse import csr_matrix as _scipy_csr
+    from scipy.sparse import coo_array as _scipy_coo
 
     _HAVE_SCIPY = True
 except Exception:  # pragma: no cover - scipy is installed in the target env
@@ -50,10 +50,20 @@ except Exception:  # pragma: no cover - scipy is installed in the target env
 
 
 def _scipy_matrix(matrix):
-    """Hand a CsrMatrix to SciPy without a dense detour."""
-    return _scipy_csr(
-        (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
-    )
+    """Hand a CsrMatrix to SciPy without a dense detour, once per matrix.
+
+    Branch-and-bound node forms share their matrices
+    (:meth:`StandardForm.with_bounds`), so a tree converts each matrix
+    once, not once per node LP.  The copy is in COO form because
+    ``linprog`` copies its input into COO form before use, which also
+    leaves the cached copy untouched.
+    """
+    if matrix._scipy is None:
+        matrix._scipy = _scipy_coo(
+            (matrix.data, (matrix.rows_of_nonzeros(), matrix.indices)),
+            shape=matrix.shape, copy=True,
+        )
+    return matrix._scipy
 
 
 def highs_available() -> bool:
@@ -65,14 +75,13 @@ def solve_lp_highs(form: StandardForm) -> LpResult:
     """Solve the LP relaxation of ``form`` with ``scipy.optimize.linprog``."""
     if not _HAVE_SCIPY:  # pragma: no cover - defensive
         raise SolverError("SciPy is not available; use the simplex backend")
-    bounds = list(zip(form.lb.tolist(), [None if not np.isfinite(u) else u for u in form.ub]))
     result = linprog(
         c=form.c,
         A_ub=_scipy_matrix(form.A_ub_sparse) if form.num_ub_rows else None,
         b_ub=form.b_ub if form.b_ub.size else None,
         A_eq=_scipy_matrix(form.A_eq_sparse) if form.num_eq_rows else None,
         b_eq=form.b_eq if form.b_eq.size else None,
-        bounds=bounds,
+        bounds=np.column_stack((form.lb, form.ub)),
         method="highs",
     )
     iterations = int(getattr(result, "nit", 0) or 0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, Mapping, Optional
 
@@ -10,8 +11,8 @@ import numpy as np
 from .expr import Variable
 
 __all__ = ["SolveStats", "Solution", "LpResult", "add_counters", "sum_counters",
-           "OPTIMAL", "FEASIBLE", "INFEASIBLE", "UNBOUNDED", "TIMEOUT",
-           "NODE_LIMIT", "ERROR"]
+           "certified_gap", "OPTIMAL", "FEASIBLE", "INFEASIBLE", "UNBOUNDED",
+           "TIMEOUT", "NODE_LIMIT", "ERROR"]
 
 # Status constants shared by all solver backends.
 OPTIMAL = "optimal"
@@ -62,14 +63,6 @@ class SolveStats:
     #: ("start", "interval", "fill", "residual").
     refactor_triggers: Counts = field(default_factory=dict)
     incumbent_updates: int = 0
-    #: incumbents injected by the primal heuristic portfolio (dives/LNS).
-    heuristic_incumbents: int = 0
-    #: simplex pivots spent inside diving heuristics (outside the tree).
-    dive_pivots: int = 0
-    #: LP re-solves performed by diving heuristics (not in ``lp_solves``).
-    dive_lp_solves: int = 0
-    #: destroy/repair rounds run by the LNS improvement search.
-    lns_rounds: int = 0
     best_bound: float = float("nan")
     gap: float = float("nan")
     backend: str = ""
@@ -170,6 +163,18 @@ def sum_counters(documents: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
     for document in documents:
         add_counters(total, document)
     return total
+
+
+def certified_gap(objective: float, bound: float) -> float:
+    """Relative optimality gap of ``objective`` against a valid ``bound``.
+
+    Defined so that ``objective <= bound * (1 + gap)`` for positive
+    bounds — the contract fast mode promises its callers.  Infinite when
+    no finite bound is available.
+    """
+    if not (math.isfinite(objective) and math.isfinite(bound)):
+        return math.inf
+    return max(0.0, objective - bound) / max(abs(bound), 1e-9)
 
 
 @dataclass

@@ -9,10 +9,11 @@ compressed-sparse-row layout) and provides the small set of operations
 the solvers need — matrix-vector products, column gathers, activity
 bounds — in vectorised NumPy.  The dense array is materialised lazily
 (and cached) only where a consumer genuinely needs it, which today is
-the simplex tableau and the SciPy bindings.
+the simplex tableau.
 
 SciPy's own sparse types are deliberately not used here: the pure-Python
-solver stack must work without SciPy installed.
+solver stack must work without SciPy installed.  The SciPy bindings
+build their own copy from the CSR arrays, once per matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ class CsrMatrix:
         positions (strictly increasing within a row).
     """
 
-    __slots__ = ("shape", "data", "indices", "indptr", "_dense", "_row_of_nz")
+    __slots__ = (
+        "shape", "data", "indices", "indptr", "_dense", "_row_of_nz", "_scipy",
+    )
 
     def __init__(
         self,
@@ -57,6 +60,8 @@ class CsrMatrix:
             raise ValueError("data and indices must have the same length")
         self._dense: Optional[np.ndarray] = None
         self._row_of_nz: Optional[np.ndarray] = None
+        #: SciPy copy, built once by :mod:`repro.ilp.scipy_backend`.
+        self._scipy = None
 
     # ------------------------------------------------------------ builders
     @classmethod

@@ -83,7 +83,7 @@ class TestRegistry:
 
     def test_bnb_options_are_the_one_option_list(self):
         fields = {f.name for f in dataclasses.fields(BnBOptions)}
-        assert len(fields) == 17
+        assert len(fields) == 16
         for name in ("bnb", "bnb-pure", "bnb-tableau"):
             assert BACKENDS[name].options == fields
         assert BACKENDS["portfolio"].options == fields - {"stop_check"}

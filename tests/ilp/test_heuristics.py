@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from repro.ilp import Model, quicksum, to_standard_form
+from repro.ilp import BranchAndBoundSolver, Model, quicksum, to_standard_form
 from repro.ilp.heuristics import round_with_sos, sos_greedy_assignment
 
 
@@ -137,3 +138,29 @@ class TestGreedyAssignment:
             return {name: x[vs[name].index] for name in vs}
 
         assert build(["z[0,p]", "z[0,q]"]) == build(["z[0,q]", "z[0,p]"])
+
+
+class TestRootIncumbent:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_root_heuristic_never_changes_the_optimum(self, seed):
+        # The greedy root incumbent only enters through the strict
+        # improvement filter, so the proved optimum is the same with it
+        # off, and the incumbent it gives the cutoff can only prune.
+        rng = np.random.default_rng(seed)
+        cost = rng.integers(1, 25, size=(9, 4)).tolist()
+        capacity = rng.integers(2, 6, size=4)
+        while int(capacity.sum()) < 9:
+            capacity[int(rng.integers(4))] += 1
+        solves = [
+            BranchAndBoundSolver(root_heuristic=flag).solve(
+                make_assignment_model(cost, capacity.tolist())[0]
+            )
+            for flag in (False, True)
+        ]
+        baseline, with_greedy = solves
+        assert baseline.is_optimal and with_greedy.is_optimal
+        assert with_greedy.objective == pytest.approx(
+            baseline.objective, abs=1e-9
+        )
+        assert with_greedy.stats.nodes_explored <= \
+            baseline.stats.nodes_explored

@@ -232,11 +232,11 @@ class TestFuzzWarmEqualsCold:
 
     @pytest.mark.parametrize("seed", FEASIBLE_SEEDS[:6])
     def test_dive_chain_warm_equals_cold(self, seed):
-        """The diving heuristics' solve pattern: a chain of re-solves,
+        """The pattern of a branch-and-bound path: a chain of re-solves,
         each fixing one more variable to a rounded value and warm-starting
         from the previous step's basis.  Every link of the chain must
-        agree with a cold solve of the same bounds — a dive may never be
-        cheaper by being *wrong*."""
+        agree with a cold solve of the same bounds — a warm re-solve may
+        never be cheaper by being *wrong*."""
         form = feasible_box_lp(seed)
         engine = RevisedSimplex(form)
         current = engine.solve(form.lb, form.ub)
@@ -254,7 +254,7 @@ class TestFuzzWarmEqualsCold:
             cold = engine.solve(lb, ub)
             assert warm.status == cold.status
             if warm.status != "optimal":
-                break  # the dive hit a dead end; both kernels agree it did
+                break  # the chain hit a dead end; both kernels agree it did
             assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
             np.testing.assert_allclose(warm.x, cold.x, atol=1e-6)
             current = warm
@@ -262,7 +262,7 @@ class TestFuzzWarmEqualsCold:
     @pytest.mark.parametrize("seed", MIXED_VAR_SEEDS[:4])
     def test_dive_chain_on_mixed_variables_lu(self, seed):
         """Same chained-fixing pattern over free/fixed variables on the
-        LU kernel (the representation the portfolio dives actually run)."""
+        LU kernel."""
         form = mixed_variable_lp(seed)
         engine = RevisedSimplex(form, RevisedOptions(factorization="lu"))
         current = engine.solve(form.lb, form.ub)

@@ -199,6 +199,7 @@ def submit_with(url, solver, options):
         ("portfolio", {"context": {}}),
         ("bnb", {"warm_start": [1.0]}),
         ("scipy-milp", {"fix_zero": [0]}),
+        ("portfolio", {"heuristics": "off"}),
     ],
 )
 def test_bad_solver_input_is_400_bad_request(front_end, solver, options):
@@ -217,5 +218,5 @@ def test_unavailable_backend_is_400_bad_request(front_end, monkeypatch):
 
 def test_options_the_backend_takes_are_accepted(front_end):
     url, _ = front_end
-    options = {"time_limit": 30, "node_limit": 100, "heuristics": "off"}
+    options = {"time_limit": 30, "node_limit": 100, "rel_gap": 1e-4}
     assert submit_with(url, "portfolio", options) == (202, None)
