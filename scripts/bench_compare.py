@@ -13,7 +13,9 @@ Two modes:
     ``--fail-over PCT`` the script exits 1 when the candidate's total
     wall time regressed by more than PCT percent over the baseline —
     except for ``lp_kernel`` artifacts, which gate on total pivots (a
-    deterministic counter, comparable across machines) instead.
+    deterministic counter, comparable across machines) instead.  Two
+    ``explore`` artifacts of the same grid, solver and warm-chain setting
+    must carry the same fingerprint, with or without ``--fail-over``.
 
 Examples::
 
@@ -81,6 +83,11 @@ def load_artifact(path: Path) -> Dict[str, Any]:
 #: Extra keys an explore artifact must carry on top of REQUIRED_KEYS.
 EXPLORE_KEYS = ("grid", "chains", "fingerprint", "pareto_front",
                 "warm_chain", "total_lp_solves")
+
+#: What an explore fingerprint hashes besides the per-point outcomes.
+#: Two artifacts that agree on these must agree on the fingerprint: a
+#: drift is a mapping change, even where every objective is equal.
+EXPLORE_INPUTS = ("grid", "solver", "warm_chain")
 
 
 def validate(document: Any) -> List[str]:
@@ -307,6 +314,14 @@ def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
     missing = sorted(set(base_rows) ^ set(cand_rows))
     if missing:
         print(f"\nwarning: labels present in only one artifact: {missing}")
+
+    if baseline.get("name") == candidate.get("name") == "explore" and all(
+            baseline.get(key) == candidate.get(key) for key in EXPLORE_INPUTS):
+        base_print, cand_print = baseline.get("fingerprint"), candidate.get("fingerprint")
+        if base_print != cand_print:
+            print(f"\nFAIL: same {', '.join(EXPLORE_INPUTS)} but fingerprint "
+                  f"{cand_print} differs from baseline {base_print}")
+            return 1
 
     if fail_over is not None:
         if baseline.get("name") == candidate.get("name") == "heuristics":

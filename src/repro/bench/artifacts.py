@@ -14,9 +14,10 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Union
 
-from ..engine.jobs import JobResult
+if TYPE_CHECKING:  # the engine layer is not loaded to format its results
+    from ..engine.jobs import JobResult
 
 __all__ = [
     "batch_artifact",

@@ -43,17 +43,6 @@ from .arch import (
     hierarchical_board,
     virtex_board,
 )
-from .bench import (
-    Table3Harness,
-    ascii_table,
-    batch_artifact,
-    default_design_points,
-    default_solver_backend,
-    explore_artifact,
-    format_seconds,
-    sweep_design_points,
-    write_bench_artifact,
-)
 from .core import CostWeights, MappingError, MemoryMapper
 from .core.report import render_full_report
 from .design import (
@@ -65,14 +54,6 @@ from .design import (
     motion_estimation_design,
     random_design,
 )
-from .engine import MODE_FAST, MODE_PIPELINE, MappingEngine, MappingJob
-from .explore import (
-    DesignSpaceExplorer,
-    ExploreError,
-    ScenarioGrid,
-    list_scenario_families,
-    render_explore_report,
-)
 from .ilp import BACKENDS, resolve_backend
 from .ilp.errors import ModelError as IlpModelError
 from .io import (
@@ -82,6 +63,9 @@ from .io import (
     mapping_result_to_dict,
     save_json,
 )
+
+# The engine, explore, serve and bench layers are imported by the
+# sub-commands that use them, so that ``repro map`` loads none of them.
 
 __all__ = ["main", "BUILTIN_BOARDS", "BUILTIN_DESIGNS",
            "EXIT_OK", "EXIT_MAPPING_FAILED", "EXIT_USAGE"]
@@ -114,6 +98,11 @@ _WEIGHT_PRESETS: Dict[str, Callable[[], CostWeights]] = {
     "latency": CostWeights.latency_only,
     "interconnect": CostWeights.interconnect_only,
 }
+
+
+#: What ``repro.bench.default_solver_backend`` picks, in words: the help
+#: text does not load the bench layer to compute it.
+_BENCH_SOLVER_HELP = "$REPRO_SOLVER, else scipy-milp when SciPy is installed, else auto"
 
 
 class CliError(Exception):
@@ -178,6 +167,8 @@ def _resolve_design(spec: str, seed: int = 0) -> Design:
 # ---------------------------------------------------------------------------
 
 def _cmd_boards(_: argparse.Namespace) -> int:
+    from .bench.reporting import ascii_table
+
     rows = []
     for name in sorted(BUILTIN_BOARDS):
         board = BUILTIN_BOARDS[name]()
@@ -195,6 +186,8 @@ def _cmd_boards(_: argparse.Namespace) -> int:
 
 
 def _cmd_designs(_: argparse.Namespace) -> int:
+    from .bench.reporting import ascii_table
+
     rows = []
     for name in sorted(BUILTIN_DESIGNS):
         design = BUILTIN_DESIGNS[name]()
@@ -264,6 +257,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
+    from .bench.reporting import ascii_table
+
     rows = [
         {"name": name, "available": backend.available(),
          "description": backend.description}
@@ -282,6 +277,16 @@ def _cmd_backends(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from .bench import (
+        ascii_table,
+        batch_artifact,
+        default_solver_backend,
+        format_seconds,
+        sweep_design_points,
+        write_bench_artifact,
+    )
+    from .engine import MODE_FAST, MODE_PIPELINE, MappingEngine, MappingJob
+
     weights = _WEIGHT_PRESETS[args.weights]()
     solver = _resolve_solver(args.solver) or default_solver_backend()
     jobs = _resolve_jobs(args.jobs)
@@ -361,6 +366,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
+    from .bench.reporting import ascii_table
+    from .explore import list_scenario_families
+
     families = list_scenario_families()
     if args.json:
         print(json.dumps(
@@ -405,6 +413,14 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    from .bench import explore_artifact, write_bench_artifact
+    from .explore import (
+        DesignSpaceExplorer,
+        ExploreError,
+        ScenarioGrid,
+        render_explore_report,
+    )
+
     try:
         grid = ScenarioGrid.parse(args.grid)
     except ExploreError as exc:
@@ -453,6 +469,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
+    from .ilp import scipy_backend
     from .serve import MappingServer, MappingService
 
     if args.max_batch < 1:
@@ -465,6 +482,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise CliError("--replicas must be at least 1")
     if args.replicas > 1:
         return _serve_replicated(args)
+    # Import SciPy before the banner, so that no request pays for it.
+    scipy_backend.load()
     service = MappingService(
         jobs=_resolve_jobs(args.jobs),
         max_batch=args.max_batch,
@@ -506,6 +525,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"cannot serve on {args.host}:{args.port}: {exc}"
         ) from exc
     if args.artifact_dir:
+        from .bench import write_bench_artifact
+
         path = write_bench_artifact("serve", service.artifact(), args.artifact_dir)
         print(f"[serve artifact written to {path}]")
     return EXIT_OK
@@ -580,6 +601,7 @@ def _serve_replicated(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
+    from .bench.reporting import ascii_table
     from .io.serve import JobSubmission
     from .serve import ServeClient, ServeClientError
 
@@ -737,6 +759,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_table3(args: argparse.Namespace) -> int:
+    from .bench import Table3Harness, ascii_table, default_design_points, format_seconds
+
     points = default_design_points(full=args.full)
     if args.points is not None:
         points = points[: args.points]
@@ -852,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--weights", choices=sorted(_WEIGHT_PRESETS), default="balanced",
                        help="objective weighting preset")
     batch.add_argument("--solver", default=None,
-                       help=f"ILP backend (default: {default_solver_backend()}; "
+                       help=f"ILP backend (default: {_BENCH_SOLVER_HELP}; "
                             "see 'repro backends')")
     batch.add_argument("--time-limit", type=float, default=None,
                        help="per-job wall-clock budget in seconds")
@@ -1065,7 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     table3.add_argument("--points", type=int, default=None,
                         help="only run the first N design points")
     table3.add_argument("--solver", default=None,
-                        help=f"ILP backend (default: {default_solver_backend()})")
+                        help=f"ILP backend (default: {_BENCH_SOLVER_HELP})")
     table3.add_argument("--time-limit", type=float, default=None,
                         help="per-solve time limit in seconds")
     table3.add_argument("--skip-complete", action="store_true",

@@ -19,7 +19,9 @@ Guarantees the rest of the system builds on:
   the error message; an unexpected worker exception is retried up to
   ``retries`` times and then reported as ``error``; a job that exceeds its
   wall-clock budget reports ``timeout``.  One bad job never aborts the
-  batch.
+  batch: a worker that dies breaks its pool for every job in flight, so
+  each of those jobs is re-run alone in a fresh one-worker pool, and only
+  a job that breaks its own pool is charged a retry.
 * **Result caching** — with a ``cache_dir``, finished jobs are stored under
   their canonical input hash (see :mod:`repro.engine.cache`) and a warm
   rerun of the same sweep is served from disk without touching a solver.
@@ -45,6 +47,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
+from ..ilp import scipy_backend
 from .cache import ResultCache, result_fingerprint
 from .jobs import (
     MODE_COMPLETE,
@@ -354,6 +357,8 @@ class MappingEngine:
             executor = self._make_pool(size)
         abandoned = False
         futures: Dict[int, Future] = {}
+        #: one-worker pools of the jobs that run alone (see submit_alone)
+        solo: Dict[int, ProcessPoolExecutor] = {}
 
         def submit(index: int) -> None:
             nonlocal executor
@@ -369,6 +374,15 @@ class MappingEngine:
                     self._persistent = fresh
                 executor = fresh
                 futures[index] = executor.submit(execute_payload, payloads[index])
+
+        def submit_alone(index: int) -> None:
+            # Whatever breaks a one-worker pool, its own job did.
+            solo[index] = self._make_pool(1)
+            futures[index] = solo[index].submit(execute_payload, payloads[index])
+
+        def release(index: int) -> None:
+            if index in solo:
+                solo.pop(index).shutdown(wait=True)
 
         try:
             for index in pending:
@@ -411,9 +425,17 @@ class MappingEngine:
                         abandoned = True
                         break
                     except Exception as exc:  # worker crashed or raised
+                        alone = index in solo
+                        release(index)
+                        if isinstance(exc, BrokenProcessPool) and not alone:
+                            # Any worker's death breaks the shared pool for
+                            # every job in flight on it: find out whether
+                            # this job is the one that dies, free of charge.
+                            submit_alone(index)
+                            continue
                         if attempts[index] <= self.retries:
                             attempts[index] += 1
-                            submit(index)
+                            (submit_alone if alone else submit)(index)
                             continue
                         results[index] = JobResult(
                             index=index,
@@ -425,11 +447,14 @@ class MappingEngine:
                             cache_key=keys[index],
                         )
                         break
+                    release(index)
                     result = self._record(index, batch, keys, document)
                     result.attempts = attempts[index]
                     results[index] = result
                     break
         finally:
+            for pool in solo.values():  # only a timed-out job leaves its pool
+                pool.shutdown(wait=False, cancel_futures=True)
             # A stuck worker must not block the batch: abandon it and let
             # the pool reap it when its (cooperatively bounded) solve ends.
             # A persistent pool outlives the batch unless poisoned that
@@ -441,12 +466,17 @@ class MappingEngine:
                 self._persistent = None
 
     def _make_pool(self, max_workers: int) -> ProcessPoolExecutor:
-        context = (
-            multiprocessing.get_context(self.mp_context)
-            if self.mp_context is not None
-            else None
+        context = multiprocessing.get_context(self.mp_context)
+        initializer = None
+        if context.get_start_method() == "fork":
+            # Forked workers inherit the parent's imports: loading SciPy
+            # here, once, spares every worker of every pool its import.
+            scipy_backend.load()
+        else:
+            initializer = scipy_backend.load
+        return ProcessPoolExecutor(
+            max_workers=max_workers, mp_context=context, initializer=initializer
         )
-        return ProcessPoolExecutor(max_workers=max_workers, mp_context=context)
 
     def _execute_with_retries(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         attempt = 1

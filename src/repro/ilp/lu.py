@@ -59,9 +59,9 @@ __all__ = ["DenseFactors", "LuFactors", "factorize_markowitz"]
 class DenseFactors:
     """Explicit dense ``B⁻¹`` with rank-1 product-form updates.
 
-    This preserves the first-generation kernel's numerical behaviour
-    bit-for-bit: refactorization is ``np.linalg.inv`` and each pivot is
-    the same outer-product update the old engine applied in place.
+    This preserves the first-generation kernel's numerical behaviour:
+    refactorization is ``np.linalg.inv`` and each pivot does the same
+    multiply and subtract per changed entry as a full outer-product update.
     """
 
     kind = "dense"
@@ -95,12 +95,17 @@ class DenseFactors:
         return cb @ self.binv
 
     def update(self, row: int, alpha: np.ndarray) -> None:
-        """Absorb a basis change: column ``row`` replaced, ``alpha = B⁻¹ a_q``."""
-        pivot = alpha[row]
-        self.binv[row, :] /= pivot
-        col = alpha.copy()
-        col[row] = 0.0
-        self.binv -= np.outer(col, self.binv[row, :])
+        """Absorb a basis change: column ``row`` replaced, ``alpha = B⁻¹ a_q``.
+
+        Only the rows where ``alpha`` is non-zero change, so the rank-1
+        update touches only those: its temporary is one row per non-zero,
+        not ``m × m``.
+        """
+        pivot_row = self.binv[row]
+        pivot_row /= alpha[row]
+        rows = np.flatnonzero(alpha)
+        rows = rows[rows != row]
+        self.binv[rows] -= np.outer(alpha[rows], pivot_row)
 
 
 def _pack(entries: List[Tuple[int, float]]):

@@ -11,12 +11,17 @@ two purposes:
   solver-ablation benchmark and by the test suite to cross-check optimal
   objective values produced by the built-in solver.
 
-Everything degrades gracefully: if SciPy is unavailable the module still
-imports and :func:`highs_available` returns ``False``.
+SciPy is imported when a HiGHS solve first needs it, never by importing
+this module: a ``scipy.optimize`` import costs more than most mappings, and
+many runs solve no LP at all.  :func:`highs_available` asks whether SciPy
+is installed without importing it; a long-lived process calls :func:`load`
+before it takes work, so that no request or job pays the import.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import time
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
@@ -37,16 +42,32 @@ from .solution import (
 )
 from .standard_form import StandardForm, to_standard_form
 
-__all__ = ["highs_available", "solve_lp_highs", "ScipyMilpSolver"]
+__all__ = ["highs_available", "load", "solve_lp_highs", "ScipyMilpSolver"]
 
-try:  # pragma: no cover - exercised implicitly on import
-    from scipy.optimize import LinearConstraint, linprog, milp
-    from scipy.optimize import Bounds as _Bounds
-    from scipy.sparse import coo_array as _scipy_coo
 
-    _HAVE_SCIPY = True
-except Exception:  # pragma: no cover - scipy is installed in the target env
-    _HAVE_SCIPY = False
+@functools.lru_cache(maxsize=None)
+def highs_available() -> bool:
+    """Whether SciPy (and so HiGHS) is installed; asking does not import it."""
+    return importlib.util.find_spec("scipy") is not None
+
+
+def _scipy():
+    """``scipy.optimize`` and ``scipy.sparse``, imported by the first call."""
+    try:
+        import scipy.optimize
+        import scipy.sparse
+    except ImportError as exc:
+        raise SolverError(f"SciPy is not available ({exc}); use bnb-pure") from exc
+    return scipy.optimize, scipy.sparse
+
+
+def load() -> None:
+    """Import SciPy now, so that no later solve pays for it; a no-op without SciPy."""
+    if highs_available():
+        try:
+            _scipy()
+        except SolverError:
+            pass  # a broken install fails in the solve that needs it
 
 
 def _scipy_matrix(matrix):
@@ -59,23 +80,17 @@ def _scipy_matrix(matrix):
     leaves the cached copy untouched.
     """
     if matrix._scipy is None:
-        matrix._scipy = _scipy_coo(
+        matrix._scipy = _scipy()[1].coo_array(
             (matrix.data, (matrix.rows_of_nonzeros(), matrix.indices)),
             shape=matrix.shape, copy=True,
         )
     return matrix._scipy
 
 
-def highs_available() -> bool:
-    """Whether the SciPy/HiGHS backends can be used in this environment."""
-    return _HAVE_SCIPY
-
-
 def solve_lp_highs(form: StandardForm) -> LpResult:
     """Solve the LP relaxation of ``form`` with ``scipy.optimize.linprog``."""
-    if not _HAVE_SCIPY:  # pragma: no cover - defensive
-        raise SolverError("SciPy is not available; use the simplex backend")
-    result = linprog(
+    optimize, _ = _scipy()
+    result = optimize.linprog(
         c=form.c,
         A_ub=_scipy_matrix(form.A_ub_sparse) if form.num_ub_rows else None,
         b_ub=form.b_ub if form.b_ub.size else None,
@@ -111,8 +126,7 @@ class ScipyMilpSolver:
     fix_zero: Optional[Sequence[int]] = None
 
     def solve(self, model) -> Solution:
-        if not _HAVE_SCIPY:  # pragma: no cover - defensive
-            raise SolverError("SciPy is not available; use the built-in solver")
+        optimize, _ = _scipy()
         start = time.perf_counter()
         form = to_standard_form(model)
         if self.fix_zero:
@@ -136,17 +150,17 @@ class ScipyMilpSolver:
         constraints = []
         if form.num_ub_rows:
             constraints.append(
-                LinearConstraint(_scipy_matrix(form.A_ub_sparse), -np.inf, form.b_ub)
+                optimize.LinearConstraint(_scipy_matrix(form.A_ub_sparse), -np.inf, form.b_ub)
             )
         if form.num_eq_rows:
             constraints.append(
-                LinearConstraint(_scipy_matrix(form.A_eq_sparse), form.b_eq, form.b_eq)
+                optimize.LinearConstraint(_scipy_matrix(form.A_eq_sparse), form.b_eq, form.b_eq)
             )
-        bounds = _Bounds(form.lb, form.ub)
+        bounds = optimize.Bounds(form.lb, form.ub)
         options = {"mip_rel_gap": self.rel_gap}
         if self.time_limit is not None:
             options["time_limit"] = float(self.time_limit)
-        result = milp(
+        result = optimize.milp(
             c=form.c,
             constraints=constraints or None,
             bounds=bounds,

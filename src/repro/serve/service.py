@@ -41,6 +41,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional
 
+from ..bench.artifacts import latency_percentiles, serve_artifact
 from ..core.objective import CostWeights
 from ..engine import MappingEngine, MappingJob
 from ..engine.jobs import payload_cache_key
@@ -420,8 +421,6 @@ class MappingService:
 
     def artifact(self) -> Dict[str, Any]:
         """Throughput/latency artifact document (``BENCH_serve.json``)."""
-        from ..bench.artifacts import serve_artifact
-
         return serve_artifact(
             records=list(self.job_records),
             elapsed=self.uptime_seconds,
@@ -440,8 +439,6 @@ class MappingService:
         ``end_to_end`` submission to finish.  Cache hits are answered
         without a solve, so they only count end to end.
         """
-        from ..bench.artifacts import latency_percentiles
-
         records = list(self.job_records)
         return {
             stage: latency_percentiles([

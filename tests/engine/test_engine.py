@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.design import (
 )
 from repro.engine import (
     MODE_COMPLETE,
+    STATUS_ERROR,
     STATUS_FAILED,
     STATUS_OK,
     JobResult,
@@ -338,19 +340,24 @@ class TestPersistentPool:
 
 
 def _dying_payload(payload):
-    """Kill the worker process the first time a job's marker is unset."""
-    marker = payload["solver_options"]["die_once"]
-    if marker and not os.path.exists(marker):
-        open(marker, "w").close()
+    """Kill the worker (every time, or once per marker file), else nap."""
+    options = payload["solver_options"]
+    marker = options.get("die_once", "")
+    if options.get("die_always") or (marker and not os.path.exists(marker)):
+        if marker:
+            open(marker, "w").close()
         os._exit(1)
+    time.sleep(options.get("nap", 0.0))
     return {"status": STATUS_OK, "wall_time": 0.0, "result": None}
 
 
 class TestDeadWorker:
     """A worker that dies breaks its pool; the engine must not stay broken."""
 
-    def jobs(self, tmp_path, die=True):
-        """Two distinct jobs; with ``die`` the first kills its worker once."""
+    def jobs(self, tmp_path, die=True, always=False):
+        """Two distinct jobs; with ``die`` the first kills its worker once
+        (every time with ``always``), while the second naps long enough to
+        be in flight when it does."""
         return [
             MappingJob(
                 board=virtex_board("XCV1000"), design=fir_filter_design(),
@@ -359,6 +366,8 @@ class TestDeadWorker:
                 # coalesced and genuinely run on the pool.
                 solver_options={
                     "die_once": str(tmp_path / "died") if die and index == 0 else "",
+                    "die_always": die and always and index == 0,
+                    "nap": 0.0 if index == 0 else 0.5,
                     "n": index,
                 },
             )
@@ -372,14 +381,32 @@ class TestDeadWorker:
         results = MappingEngine(jobs=2, retries=1).run(self.jobs(tmp_path))
         assert [r.status for r in results] == [STATUS_OK, STATUS_OK]
 
+    def test_only_the_job_that_dies_is_charged(self, monkeypatch, tmp_path):
+        # The healthy job is in flight when its sibling kills the shared
+        # pool; it is re-run alone, not reported as an error.
+        import repro.engine.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "execute_payload", _dying_payload)
+        results = MappingEngine(jobs=2, retries=0).run(self.jobs(tmp_path, always=True))
+        assert [r.status for r in results] == [STATUS_ERROR, STATUS_OK]
+        assert "BrokenProcessPool" in results[0].error
+        assert [r.attempts for r in results] == [1, 1]
+
+    def test_a_job_that_dies_once_is_not_charged(self, monkeypatch, tmp_path):
+        import repro.engine.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "execute_payload", _dying_payload)
+        results = MappingEngine(jobs=2, retries=0).run(self.jobs(tmp_path))
+        assert [r.status for r in results] == [STATUS_OK, STATUS_OK]
+
     def test_persistent_pool_recovers_for_the_next_run(self, monkeypatch, tmp_path):
         import repro.engine.engine as engine_module
 
         monkeypatch.setattr(engine_module, "execute_payload", _dying_payload)
         engine = MappingEngine(jobs=2)
         with engine.persistent_pool():
-            broken = engine.run(self.jobs(tmp_path))
-            assert broken[0].status == "error"
+            broken = engine.run(self.jobs(tmp_path, always=True))
+            assert [r.status for r in broken] == [STATUS_ERROR, STATUS_OK]
             # These jobs never die; they fail only if the dead pool is
             # still in use.
             for _ in range(2):

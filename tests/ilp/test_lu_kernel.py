@@ -11,7 +11,8 @@ module covers what is new in the LU kernel generation:
   ("interval", "fill", "residual"),
 * a degenerate/stalling LP still terminating through the anti-cycling
   switch under both representations,
-* the eta/nnz counters and the LU ``BasisState`` round-trip.
+* the eta/nnz counters and the LU ``BasisState`` round-trip,
+* the dense path's sparse rank-1 update against the full outer product.
 """
 
 from __future__ import annotations
@@ -107,6 +108,37 @@ class TestFactorizeMarkowitz:
         np.testing.assert_allclose(lu.btran(b), inv.btran(b), atol=1e-8)
         # Sparse fill is genuinely below the dense m² footprint.
         assert lu.nnz < inv.nnz
+
+
+class TestDenseUpdate:
+    def test_sparse_rank_one_update_equals_the_full_outer_product(self):
+        """Same entries as the m × m update, and the inverse of the new basis."""
+        rng = np.random.RandomState(5)
+        skipped = 0
+        for _ in range(20):
+            # Two diagonal blocks, and an entering column inside the first:
+            # alpha is exactly zero on the second block's rows.
+            top, bottom = int(rng.randint(2, 12)), int(rng.randint(1, 12))
+            m = top + bottom
+            dense = np.zeros((m, m))
+            dense[:top, :top] = _random_sparse_matrix(rng, top) + 4.0 * np.eye(top)
+            dense[top:, top:] = _random_sparse_matrix(rng, bottom) + 4.0 * np.eye(bottom)
+            factors = DenseFactors.from_matrix(dense)
+            entering = np.zeros(m)
+            entering[:top] = rng.uniform(-3.0, 3.0, size=top)
+            alpha = factors.ftran(entering)
+            skipped += int(np.count_nonzero(alpha == 0.0))
+            row = int(np.argmax(np.abs(alpha)))
+            expected = factors.binv.copy()
+            expected[row, :] /= alpha[row]
+            col = alpha.copy()
+            col[row] = 0.0
+            expected -= np.outer(col, expected[row, :])
+            factors.update(row, alpha)
+            assert np.array_equal(factors.binv, expected)
+            dense[:, row] = entering
+            np.testing.assert_allclose(factors.binv @ dense, np.eye(m), atol=1e-8)
+        assert skipped > 0
 
 
 def _lazy_lu_options(**overrides):
