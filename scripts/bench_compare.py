@@ -15,7 +15,9 @@ Two modes:
     except for ``lp_kernel`` artifacts, which gate on total pivots (a
     deterministic counter, comparable across machines) instead.  Two
     ``explore`` artifacts of the same grid, solver and warm-chain setting
-    must carry the same fingerprint, with or without ``--fail-over``.
+    must carry the same fingerprint, and two ``explore`` or two
+    ``table3`` artifacts must agree on every shared label's objective,
+    with or without ``--fail-over``.
 
 Examples::
 
@@ -315,6 +317,15 @@ def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
     if missing:
         print(f"\nwarning: labels present in only one artifact: {missing}")
 
+    if baseline.get("name") == candidate.get("name") in ("explore", "table3") \
+            and objective_mismatches:
+        # Mapping objectives are deterministic (same instances give the
+        # same optima on any machine and under every exact solver), so a
+        # per-label divergence is a correctness regression, never noise.
+        print(f"\nFAIL: objectives differ on {len(objective_mismatches)} "
+              f"shared point(s): {objective_mismatches[:10]}")
+        return 1
+
     if baseline.get("name") == candidate.get("name") == "explore" and all(
             baseline.get(key) == candidate.get(key) for key in EXPLORE_INPUTS):
         base_print, cand_print = baseline.get("fingerprint"), candidate.get("fingerprint")
@@ -355,16 +366,6 @@ def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
                       f"{fail_over:.0f}%")
                 return 1
             return 0
-        if baseline.get("name") == candidate.get("name") == "explore":
-            # Mapping objectives are deterministic (same grid, seed and
-            # solver give the same mappings on any machine), so a
-            # per-label objective divergence is a correctness regression,
-            # never noise — gate on it before the wall-time check.
-            if objective_mismatches:
-                print(f"\nFAIL: objectives differ on "
-                      f"{len(objective_mismatches)} shared point(s): "
-                      f"{objective_mismatches[:10]}")
-                return 1
         base_wall = float(baseline.get("wall_seconds") or 0.0)
         cand_wall = float(candidate.get("wall_seconds") or 0.0)
         if base_wall > 0 and cand_wall > base_wall * (1.0 + fail_over / 100.0):

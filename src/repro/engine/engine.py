@@ -281,6 +281,10 @@ class MappingEngine:
                 pending.append(index)
 
         if len(pending) <= 1 or self.jobs == 1:
+            if pending:
+                # Import SciPy before the first job's clock starts, as the
+                # pools do, so that no job's wall time carries it.
+                scipy_backend.load()
             for index in pending:
                 document = self._execute_with_retries(payloads[index])
                 results[index] = self._record(index, batch, keys, document)

@@ -3,9 +3,10 @@
 Every solver is picked by name from :data:`BACKENDS` and built by
 :func:`create_solver`; ``None`` and ``"auto"`` mean ``bnb``.  ``bnb``,
 ``bnb-pure`` and ``bnb-tableau`` are the from-scratch branch-and-bound
-solver on HiGHS node LPs (the pure revised simplex without SciPy), the
-revised simplex and the legacy dense tableau.  ``scipy-milp`` is HiGHS'
-own branch-and-cut, and ``portfolio`` races ``bnb-pure`` against it.
+solver on HiGHS node LPs (one hot-started instance per tree; the pure
+revised simplex without SciPy), the revised simplex and the legacy dense
+tableau.  ``scipy-milp`` is HiGHS' own branch-and-cut, and ``portfolio``
+races ``bnb-pure`` against it.
 
 Options a backend does not take are dropped rather than rejected, so one
 option dictionary (the engine passes ``time_limit`` everywhere) can drive
@@ -207,8 +208,9 @@ def _always() -> bool:
 BACKENDS: Dict[str, Backend] = {
     "bnb": Backend(
         BranchAndBoundSolver, BNB_OPTIONS, _always,
-        "best-first branch-and-bound with SOS-1 branching "
-        "(HiGHS LP relaxations when SciPy is present)",
+        "best-first branch-and-bound with SOS-1 branching; node LPs run "
+        "in one HiGHS instance per tree, hot-started by bound changes "
+        "(the revised simplex when SciPy's HiGHS bindings do not import)",
     ),
     "bnb-pure": Backend(
         partial(_pinned_bnb, "revised"), BNB_OPTIONS, _always,

@@ -13,9 +13,10 @@ runs as a three-stage path:
    reduced problem plus a postsolve map back to the full space (often it
    solves the whole model outright on retry solves);
 3. **branch and bound** — the classic LP-relaxation loop over the
-   *reduced* form: solve the node relaxation (HiGHS when available,
-   otherwise the built-in revised simplex), prune against
-   the incumbent, accept integral relaxations, branch otherwise.
+   *reduced* form: solve the node relaxation (one HiGHS instance per
+   tree, hot-started by bound changes, when available; otherwise the
+   built-in revised simplex), prune against the incumbent, accept
+   integral relaxations, branch otherwise.
 
 Branching strategies:
 
@@ -54,7 +55,7 @@ from .heuristics import round_with_sos, sos_greedy_assignment
 from .model import Model
 from .presolve import Postsolve, presolve as run_presolve, propagate_bounds
 from .revised_simplex import BasisState, RevisedSimplex
-from .scipy_backend import highs_available, solve_lp_highs
+from .scipy_backend import HighsLp, bindings, highs_available, solve_lp_highs
 from .simplex import solve_lp_simplex
 from .solution import (
     ERROR,
@@ -87,9 +88,10 @@ class BnBOptions:
     passes exactly these names through to the solver.
     """
 
-    #: "auto" picks HiGHS when SciPy is importable, otherwise the built-in
-    #: revised simplex; "highs", "revised" and "simplex" (the legacy
-    #: dense tableau) force a specific LP kernel.
+    #: "auto" picks HiGHS when its SciPy bindings import (settled at the
+    #: tree's first LP), otherwise the built-in revised simplex; "highs",
+    #: "revised" and "simplex" (the legacy dense tableau) force a specific
+    #: LP kernel.
     lp_backend: str = "auto"
     #: "auto" uses SOS-1 branching when groups exist; "sos1" requires them;
     #: "variable" always branches on a single fractional variable.
@@ -175,6 +177,8 @@ class BranchAndBoundSolver:
         stands in as a safety net.
         """
         stats.lp_solves += 1
+        if self._lp_backend == "auto":
+            self._settle_lp_backend(stats)
         if self._lp_backend == "revised":
             result = self._revised_engine(form).solve(lb, ub, basis=basis)
             stats.add_lp(result)
@@ -191,7 +195,9 @@ class BranchAndBoundSolver:
                 if result.warm:
                     stats.warm_lp_solves += 1
         elif self._lp_backend == "highs":
-            result = solve_lp_highs(form.with_bounds(lb, ub))
+            result = solve_lp_highs(self._highs_lp(form), lb, ub)
+            if result.warm:
+                stats.warm_lp_solves += 1
         else:
             result = solve_lp_simplex(form.with_bounds(lb, ub))
         stats.simplex_iterations += result.iterations
@@ -204,6 +210,27 @@ class BranchAndBoundSolver:
             engine = RevisedSimplex(form)
             self._engine = engine
         return engine
+
+    def _highs_lp(self, form: StandardForm) -> HighsLp:
+        """One HiGHS instance per tree: each node re-solves it under its bounds."""
+        if self._highs is None:
+            self._highs = HighsLp(form)
+        return self._highs
+
+    def _settle_lp_backend(self, stats: SolveStats) -> None:
+        """Pick ``auto``'s kernel at the tree's first LP.
+
+        ``auto`` runs on HiGHS when its bindings import, and on the revised
+        kernel otherwise (SciPy missing, broken or too old).  Settling here
+        rather than at solve start keeps solves that never reach an LP free
+        of the SciPy import.
+        """
+        try:
+            bindings()
+            self._lp_backend = "highs"
+        except SolverError:
+            self._lp_backend = "revised"
+        stats.backend = f"bnb+{self._lp_backend}"
 
     # ------------------------------------------------------------ branching
     def _select_sos_group(
@@ -313,17 +340,16 @@ class BranchAndBoundSolver:
         stats = SolveStats()
         context = options.context if options.context is not None else SolveContext()
 
-        if options.lp_backend == "auto":
-            self._lp_backend = "highs" if highs_available() else "revised"
-        elif options.lp_backend in ("highs", "simplex", "revised"):
-            if options.lp_backend == "highs" and not highs_available():
-                raise SolverError("HiGHS LP backend requested but SciPy is missing")
-            self._lp_backend = options.lp_backend
-        else:
+        if options.lp_backend not in ("auto", "highs", "simplex", "revised"):
             raise ModelError(f"unknown lp_backend {options.lp_backend!r}")
-        stats.backend = f"bnb+{self._lp_backend}"
+        if options.lp_backend == "highs" and not highs_available():
+            raise SolverError("HiGHS LP backend requested but SciPy is missing")
+        self._lp_backend = options.lp_backend
+        if self._lp_backend == "auto" and not highs_available():
+            self._lp_backend = "revised"
+        stats.backend = f"bnb+{'highs' if self._lp_backend == 'auto' else self._lp_backend}"
         self._engine: Optional[RevisedSimplex] = None
-        reuse_basis = options.reuse_basis and self._lp_backend == "revised"
+        self._highs: Optional[HighsLp] = None
 
         branching = options.branching
         if branching == "auto":
@@ -572,6 +598,9 @@ class BranchAndBoundSolver:
                 return finish(FEASIBLE, incumbent, incumbent_obj, floor)
 
         # ------------------------------------------------------------ root node
+        # Bases come from the revised kernel alone; the other kernels
+        # ignore the one they are handed.
+        reuse_basis = options.reuse_basis
         root_basis: Optional[BasisState] = None
         if reuse_basis and context.warm_basis is not None:
             # A previous solve's root basis (retry loop / chained sweep);

@@ -6,7 +6,11 @@ reproduction is the from-scratch branch-and-bound solver in
 two purposes:
 
 * as a fast LP-relaxation kernel inside the branch-and-bound loop (the
-  ``"highs"`` LP backend), and
+  ``"highs"`` LP backend).  A tree solves all its node LPs in one
+  :class:`HighsLp`: one HiGHS instance built from the reduced form's CSR
+  rows, whose column bounds each node changes before it runs again, so
+  HiGHS hot-starts its dual simplex from the last node's basis instead of
+  cold-starting every node;
 * as an independent full-MILP solver (``ScipyMilpSolver``) used by the
   solver-ablation benchmark and by the test suite to cross-check optimal
   objective values produced by the built-in solver.
@@ -14,8 +18,10 @@ two purposes:
 SciPy is imported when a HiGHS solve first needs it, never by importing
 this module: a ``scipy.optimize`` import costs more than most mappings, and
 many runs solve no LP at all.  :func:`highs_available` asks whether SciPy
-is installed without importing it; a long-lived process calls :func:`load`
-before it takes work, so that no request or job pays the import.
+is installed without importing it, :func:`bindings` imports the HiGHS
+bindings (``scipy.optimize._highspy._core``, SciPy >= 1.15), and a
+long-lived process calls :func:`load` before it takes work, so that no
+request or job pays the import.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import functools
 import importlib.util
 import time
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,9 +46,11 @@ from .solution import (
     Solution,
     SolveStats,
 )
+from .sparse import CsrMatrix
 from .standard_form import StandardForm, to_standard_form
 
-__all__ = ["highs_available", "load", "solve_lp_highs", "ScipyMilpSolver"]
+__all__ = ["highs_available", "bindings", "load", "HighsLp", "solve_lp_highs",
+           "ScipyMilpSolver"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,53 +69,119 @@ def _scipy():
     return scipy.optimize, scipy.sparse
 
 
+def bindings():
+    """SciPy's HiGHS bindings, imported by the first call.
+
+    Raises :class:`SolverError` when they do not import: SciPy is missing,
+    broken, or older than 1.15.
+    """
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as exc:
+        raise SolverError(f"SciPy's HiGHS bindings are not available ({exc}); "
+                          "use bnb-pure") from exc
+    return _core
+
+
 def load() -> None:
     """Import SciPy now, so that no later solve pays for it; a no-op without SciPy."""
     if highs_available():
         try:
             _scipy()
+            bindings()
         except SolverError:
             pass  # a broken install fails in the solve that needs it
 
 
-def _scipy_matrix(matrix):
-    """Hand a CsrMatrix to SciPy without a dense detour, once per matrix.
+class HighsLp:
+    """One HiGHS instance over the rows of ``form``, re-solved under new column bounds.
 
-    Branch-and-bound node forms share their matrices
-    (:meth:`StandardForm.with_bounds`), so a tree converts each matrix
-    once, not once per node LP.  The copy is in COO form because
-    ``linprog`` copies its input into COO form before use, which also
-    leaves the cached copy untouched.
+    The first :meth:`solve` builds the instance; every later one changes
+    the column bounds and runs again, so HiGHS hot-starts its dual simplex
+    from the basis the previous solve left.  Costs and rows never change.
     """
-    if matrix._scipy is None:
-        matrix._scipy = _scipy()[1].coo_array(
-            (matrix.data, (matrix.rows_of_nonzeros(), matrix.indices)),
-            shape=matrix.shape, copy=True,
+
+    def __init__(self, form: StandardForm) -> None:
+        self.form = form
+        self._highs = None
+        self._columns = np.arange(form.num_variables, dtype=np.int32)
+
+    def _build(self, core, lb: np.ndarray, ub: np.ndarray):
+        # HiGHS takes ranged rows: A_ub over A_eq, one CSR matrix.
+        form = self.form
+        above, below = form.A_ub_sparse, form.A_eq_sparse
+        lp = core.HighsLp()
+        lp.num_col_ = form.num_variables
+        lp.num_row_ = form.num_ub_rows + form.num_eq_rows
+        lp.col_cost_ = form.c
+        lp.col_lower_ = lb
+        lp.col_upper_ = ub
+        lp.row_lower_ = np.concatenate((np.full(form.num_ub_rows, -np.inf), form.b_eq))
+        lp.row_upper_ = np.concatenate((form.b_ub, form.b_eq))
+        matrix = lp.a_matrix_
+        matrix.format_ = core.MatrixFormat.kRowwise
+        matrix.num_col_ = lp.num_col_
+        matrix.num_row_ = lp.num_row_
+        matrix.start_ = np.concatenate(
+            (above.indptr, above.indptr[-1] + below.indptr[1:])).astype(np.int32)
+        matrix.index_ = np.concatenate((above.indices, below.indices)).astype(np.int32)
+        matrix.value_ = np.concatenate((above.data, below.data))
+        highs = core._Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue(
+            "simplex_strategy",
+            int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
         )
-    return matrix._scipy
+        if highs.passModel(lp) == core.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the LP")
+        return highs
+
+    def solve(self, lb: np.ndarray, ub: np.ndarray) -> LpResult:
+        """Solve the LP under the column bounds ``[lb, ub]``."""
+        core = bindings()
+        highs = self._highs
+        warm = highs is not None
+        if highs is None:
+            highs = self._highs = self._build(core, lb, ub)
+        else:
+            highs.changeColsBounds(self._columns.size, self._columns, lb, ub)
+        if highs.run() == core.HighsStatus.kError:
+            return LpResult(ERROR, warm=warm)
+        info = highs.getInfo()
+        iterations = int(info.simplex_iteration_count)
+        status = highs.getModelStatus()
+        if status == core.HighsModelStatus.kOptimal:
+            return LpResult(OPTIMAL, x=np.array(highs.getSolution().col_value),
+                            objective=float(info.objective_function_value),
+                            iterations=iterations, warm=warm)
+        if status == core.HighsModelStatus.kInfeasible:
+            return LpResult(INFEASIBLE, iterations=iterations, warm=warm)
+        if status == core.HighsModelStatus.kUnbounded:
+            return LpResult(UNBOUNDED, iterations=iterations, warm=warm)
+        return LpResult(ERROR, iterations=iterations, warm=warm)
 
 
-def solve_lp_highs(form: StandardForm) -> LpResult:
-    """Solve the LP relaxation of ``form`` with ``scipy.optimize.linprog``."""
-    optimize, _ = _scipy()
-    result = optimize.linprog(
-        c=form.c,
-        A_ub=_scipy_matrix(form.A_ub_sparse) if form.num_ub_rows else None,
-        b_ub=form.b_ub if form.b_ub.size else None,
-        A_eq=_scipy_matrix(form.A_eq_sparse) if form.num_eq_rows else None,
-        b_eq=form.b_eq if form.b_eq.size else None,
-        bounds=np.column_stack((form.lb, form.ub)),
-        method="highs",
-    )
-    iterations = int(getattr(result, "nit", 0) or 0)
-    if result.status == 0:
-        return LpResult(OPTIMAL, x=np.asarray(result.x), objective=float(result.fun),
-                        iterations=iterations)
-    if result.status == 2:
-        return LpResult(INFEASIBLE, iterations=iterations)
-    if result.status == 3:
-        return LpResult(UNBOUNDED, iterations=iterations)
-    return LpResult(ERROR, iterations=iterations)
+def solve_lp_highs(
+    lp: Union[StandardForm, HighsLp],
+    lb: Optional[np.ndarray] = None,
+    ub: Optional[np.ndarray] = None,
+) -> LpResult:
+    """Solve an LP relaxation on HiGHS: the one entry point of every HiGHS LP.
+
+    ``lp`` is a :class:`HighsLp`, which a branch-and-bound tree re-solves
+    under each node's bounds, or a bare form, solved once in a fresh
+    instance.  ``lb``/``ub`` default to the form's own bounds.
+    """
+    if isinstance(lp, StandardForm):
+        lp = HighsLp(lp)
+    form = lp.form
+    return lp.solve(form.lb if lb is None else lb, form.ub if ub is None else ub)
+
+
+def _scipy_matrix(sparse, matrix: CsrMatrix):
+    """A CsrMatrix as a SciPy CSR array, without a dense detour."""
+    return sparse.csr_array((matrix.data, matrix.indices, matrix.indptr),
+                            shape=matrix.shape, copy=True)
 
 
 @dataclass
@@ -126,7 +200,7 @@ class ScipyMilpSolver:
     fix_zero: Optional[Sequence[int]] = None
 
     def solve(self, model) -> Solution:
-        optimize, _ = _scipy()
+        optimize, sparse = _scipy()
         start = time.perf_counter()
         form = to_standard_form(model)
         if self.fix_zero:
@@ -150,11 +224,11 @@ class ScipyMilpSolver:
         constraints = []
         if form.num_ub_rows:
             constraints.append(
-                optimize.LinearConstraint(_scipy_matrix(form.A_ub_sparse), -np.inf, form.b_ub)
+                optimize.LinearConstraint(_scipy_matrix(sparse, form.A_ub_sparse), -np.inf, form.b_ub)
             )
         if form.num_eq_rows:
             constraints.append(
-                optimize.LinearConstraint(_scipy_matrix(form.A_eq_sparse), form.b_eq, form.b_eq)
+                optimize.LinearConstraint(_scipy_matrix(sparse, form.A_eq_sparse), form.b_eq, form.b_eq)
             )
         bounds = optimize.Bounds(form.lb, form.ub)
         options = {"mip_rel_gap": self.rel_gap}

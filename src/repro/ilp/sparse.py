@@ -39,7 +39,7 @@ class CsrMatrix:
     """
 
     __slots__ = (
-        "shape", "data", "indices", "indptr", "_dense", "_row_of_nz", "_scipy",
+        "shape", "data", "indices", "indptr", "_dense", "_row_of_nz",
     )
 
     def __init__(
@@ -60,8 +60,6 @@ class CsrMatrix:
             raise ValueError("data and indices must have the same length")
         self._dense: Optional[np.ndarray] = None
         self._row_of_nz: Optional[np.ndarray] = None
-        #: SciPy copy, built once by :mod:`repro.ilp.scipy_backend`.
-        self._scipy = None
 
     # ------------------------------------------------------------ builders
     @classmethod

@@ -16,10 +16,10 @@ The constraint matrices are stored sparsely (:class:`repro.ilp.sparse.
 CsrMatrix`): the mapping formulations touch only a handful of columns per
 row, so model assembly and matrix-vector products scale with the non-zero
 count rather than ``rows x columns``.  Consumers that genuinely need a
-dense array — the simplex tableau, the SciPy bindings — read the
-``A_ub`` / ``A_eq`` properties, which materialise (and cache) the dense
-view on first access; everything else works off ``A_ub_sparse`` /
-``A_eq_sparse``.
+dense array — the simplex tableau — read the ``A_ub`` / ``A_eq``
+properties, which materialise (and cache) the dense view on first
+access; everything else, the SciPy/HiGHS backends included, works off
+``A_ub_sparse`` / ``A_eq_sparse``.
 """
 
 from __future__ import annotations

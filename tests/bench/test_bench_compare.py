@@ -1,9 +1,12 @@
-"""``scripts/bench_compare.py`` gates explore runs on their fingerprint.
+"""``scripts/bench_compare.py`` gates explore runs on their fingerprint
+and Table 3 runs on their objectives.
 
 An explore fingerprint hashes every point's mapping, so two runs of the
 same grid, solver and warm-chain setting must agree on it even where
-every objective is equal.  The committed warm baseline stands in for a
-fresh run.
+every objective is equal.  Table 3 optima are deterministic under every
+exact solver, so a run of any of them must match the committed baseline
+on every point both carry.  The committed artifacts stand in for fresh
+runs.
 """
 
 from __future__ import annotations
@@ -56,3 +59,24 @@ class TestExploreFingerprintGate:
         assert cold["grid"] == warm["grid"]
         assert cold["fingerprint"] != warm["fingerprint"]
         assert bench_compare.compare(warm, cold, fail_over=None) == 0
+
+
+@pytest.fixture()
+def table3():
+    return _artifact("BENCH_table3_new.json")
+
+
+class TestTable3ObjectiveGate:
+    def test_a_subset_of_the_points_with_the_same_optima_passes(self, table3):
+        subset = copy.deepcopy(table3)
+        subset["solver"] = "bnb"
+        subset["results"] = subset["results"][:4]
+        subset["num_points"] = 4
+        assert bench_compare.compare(table3, subset, fail_over=None) == 0
+
+    @pytest.mark.parametrize("fail_over", [None, 300.0])
+    def test_a_moved_optimum_fails(self, table3, fail_over, capsys):
+        moved = copy.deepcopy(table3)
+        moved["results"][2]["global_objective"] *= 1.01
+        assert bench_compare.compare(table3, moved, fail_over=fail_over) == 1
+        assert moved["results"][2]["label"] in capsys.readouterr().out

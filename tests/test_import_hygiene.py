@@ -45,12 +45,12 @@ def _src() -> str:
     return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-def _run(script: str, block_scipy: bool = False):
+def _run(script: str, block_scipy: bool = False, first_on_path: str = ""):
     """Run ``script`` in a fresh interpreter; its last stdout line as JSON."""
     prelude = "import json, sys\n"
     if block_scipy:
         prelude += 'sys.modules["scipy"] = None\n'
-    env = dict(os.environ, PYTHONPATH=_src())
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (first_on_path, _src()))))
     done = subprocess.run(
         [sys.executable, "-c", prelude + textwrap.dedent(script)],
         env=env, capture_output=True, text=True,
@@ -123,3 +123,48 @@ def test_a_spawn_pool_worker_loads_scipy_before_its_first_job():
         pool.shutdown()
     """)
     assert loaded == [highs_available(), False]
+
+
+def test_auto_falls_back_to_the_revised_kernel_when_scipy_fails_to_import(tmp_path):
+    # An installed SciPy that cannot be imported: ``find_spec`` finds it,
+    # so only the first LP learns that HiGHS is out of reach.
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text('raise ImportError("broken SciPy")\n')
+    found = _run(MAP_WITH_LPS, first_on_path=str(tmp_path))
+    assert found["backend"] == "bnb+revised"
+    assert found["lp_solves"] > 0
+    assert not found["scipy"]
+
+
+def test_a_map_that_solves_no_lp_does_not_import_scipy():
+    found = _run("""
+        from repro.arch import hierarchical_board
+        from repro.core.pipeline import MemoryMapper
+        from repro.design import image_pipeline_design
+        stats = MemoryMapper(hierarchical_board()).map(image_pipeline_design()).solve_stats
+        print(json.dumps({"lp_solves": stats["lp_solves"], "scipy": "scipy" in sys.modules}))
+    """)
+    assert found == {"lp_solves": 0, "scipy": False}
+
+
+def test_the_serial_engine_loads_scipy_before_its_first_job():
+    loaded = _run("""
+        from repro.arch import virtex_board
+        from repro.design import fir_filter_design
+        from repro.engine import MappingEngine, MappingJob, engine
+
+        seen = []
+        execute = engine.execute_payload
+
+        def spy(payload):
+            seen.append("scipy.optimize" in sys.modules)
+            return execute(payload)
+
+        engine.execute_payload = spy
+        job = MappingJob(board=virtex_board("XCV1000"), design=fir_filter_design(),
+                         solver="scipy-milp" if engine.scipy_backend.highs_available()
+                         else "bnb-pure")
+        MappingEngine(jobs=1).run([job])
+        print(json.dumps(seen))
+    """)
+    assert loaded == [highs_available()]
