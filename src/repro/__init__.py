@@ -26,7 +26,6 @@ from .arch import (
     board_with_complexity,
     flex10k_board,
     hierarchical_board,
-    synthetic_board,
     virtex_board,
 )
 from .core import (
@@ -70,7 +69,6 @@ __all__ = [
     "apex_board",
     "flex10k_board",
     "hierarchical_board",
-    "synthetic_board",
     "board_with_complexity",
     # design
     "DataStructure",

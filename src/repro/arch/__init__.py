@@ -15,7 +15,6 @@ from .builder import (
     flex10k_board,
     heterogeneous_cost_board,
     hierarchical_board,
-    synthetic_board,
     virtex_board,
 )
 from .devices import (
@@ -27,7 +26,6 @@ from .devices import (
     VIRTEX_BLOCKRAM_COUNTS,
     apexe_esb,
     flex10k_eab,
-    list_devices,
     offchip_dram,
     offchip_sram,
     onchip_ram_table_rows,
@@ -45,7 +43,6 @@ __all__ = [
     "apex_board",
     "flex10k_board",
     "hierarchical_board",
-    "synthetic_board",
     "board_with_complexity",
     "heterogeneous_cost_board",
     # devices
@@ -55,7 +52,6 @@ __all__ = [
     "offchip_sram",
     "offchip_dram",
     "onchip_ram_table_rows",
-    "list_devices",
     "VIRTEX_BLOCKRAM_CONFIGS",
     "ALTERA_EAB_CONFIGS",
     "VIRTEX_BLOCKRAM_COUNTS",

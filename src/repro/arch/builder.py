@@ -13,7 +13,7 @@ their memory-complexity parameters (Table 3).  This module provides:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "apex_board",
     "flex10k_board",
     "hierarchical_board",
-    "synthetic_board",
     "board_with_complexity",
     "heterogeneous_cost_board",
 ]
@@ -100,60 +99,6 @@ _SYNTH_ONCHIP_CONFIG_SETS: Tuple[Tuple[MemoryConfig, ...], ...] = (
     VIRTEX_BLOCKRAM_CONFIGS,
     ALTERA_EAB_CONFIGS,
 )
-
-
-def synthetic_board(
-    num_types: int,
-    instances_per_type: Sequence[int],
-    seed: int = 0,
-    name: str = "synthetic",
-) -> Board:
-    """Generate a board with ``num_types`` bank types and given instance counts.
-
-    Types alternate between on-chip multi-configuration families (BlockRAM /
-    EAB style) and off-chip single-configuration SRAMs with growing latency
-    and pin distance, giving the mapper a genuine performance hierarchy.
-    """
-    if num_types <= 0:
-        raise ArchitectureError("synthetic_board requires at least one bank type")
-    if len(instances_per_type) != num_types:
-        raise ArchitectureError("instances_per_type must have num_types entries")
-    rng = np.random.default_rng(seed)
-    types: List[BankType] = []
-    for index in range(num_types):
-        instances = int(instances_per_type[index])
-        if index % 2 == 0:
-            configs = _SYNTH_ONCHIP_CONFIG_SETS[(index // 2) % len(_SYNTH_ONCHIP_CONFIG_SETS)]
-            ports = 2 if index % 4 == 0 else 1
-            types.append(
-                BankType(
-                    name=f"onchip-{index}",
-                    family="synthetic on-chip",
-                    num_instances=instances,
-                    num_ports=ports,
-                    configurations=configs,
-                    read_latency=1,
-                    write_latency=1,
-                    pins_traversed=0,
-                )
-            )
-        else:
-            depth = int(2 ** rng.integers(14, 18))
-            width = int(rng.choice([16, 32, 64]))
-            distance = 2 + 2 * ((index - 1) // 2 % 2)
-            types.append(
-                BankType(
-                    name=f"offchip-{index}",
-                    family="synthetic off-chip",
-                    num_instances=instances,
-                    num_ports=1,
-                    configurations=(MemoryConfig(depth, width),),
-                    read_latency=2 + (index - 1) // 2,
-                    write_latency=2 + (index - 1) // 2,
-                    pins_traversed=distance,
-                )
-            )
-    return Board(name=name, bank_types=tuple(types))
 
 
 def heterogeneous_cost_board(

@@ -42,7 +42,6 @@ __all__ = [
     "offchip_sram",
     "offchip_dram",
     "onchip_ram_table_rows",
-    "list_devices",
 ]
 
 # --------------------------------------------------------------------------
@@ -272,18 +271,3 @@ def onchip_ram_table_rows() -> List[Dict[str, object]]:
         )
     return rows
 
-
-def list_devices(family: str) -> Dict[str, int]:
-    """Return the device→bank-count map for ``family``.
-
-    ``family`` accepts ``"virtex"``, ``"flex10k"`` or ``"apexe"`` (case
-    insensitive, punctuation ignored).
-    """
-    key = family.lower().replace(" ", "").replace("-", "").replace("_", "")
-    if "virtex" in key:
-        return dict(VIRTEX_BLOCKRAM_COUNTS)
-    if "flex" in key:
-        return dict(FLEX10K_EAB_COUNTS)
-    if "apex" in key:
-        return dict(APEXE_ESB_COUNTS)
-    raise KeyError(f"unknown FPGA family {family!r}")

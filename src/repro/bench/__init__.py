@@ -14,12 +14,7 @@ from .designpoints import (
     default_design_points,
     sweep_design_points,
 )
-from .harness import (
-    ExperimentRow,
-    Table3Harness,
-    default_solver_backend,
-    run_table3,
-)
+from .harness import ExperimentRow, Table3Harness, default_solver_backend
 from .reporting import ascii_series, ascii_table, format_seconds
 
 __all__ = [
@@ -30,7 +25,6 @@ __all__ = [
     "sweep_design_points",
     "ExperimentRow",
     "Table3Harness",
-    "run_table3",
     "default_solver_backend",
     "batch_artifact",
     "explore_artifact",

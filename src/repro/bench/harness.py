@@ -11,7 +11,7 @@ Besides wall-clock time it records model sizes, solver statistics and the
 objective values, so the quality claim (both approaches reach the same
 optimum) is checked in the same run that produces the timing table.
 
-Environment knobs honoured by :func:`run_table3`:
+Environment knobs honoured by :class:`Table3Harness`:
 
 ``REPRO_FULL_TABLE3=1``
     run the full-size Table 3 rows instead of the scaled ones.
@@ -47,7 +47,7 @@ from .designpoints import DesignPoint, default_design_points
 if TYPE_CHECKING:  # the engine layer loads only for a parallel sweep
     from ..engine import JobResult
 
-__all__ = ["ExperimentRow", "Table3Harness", "run_table3", "default_solver_backend"]
+__all__ = ["ExperimentRow", "Table3Harness", "default_solver_backend"]
 
 
 def default_solver_backend() -> str:
@@ -366,28 +366,3 @@ class Table3Harness:
             ],
         }
 
-
-def run_table3(
-    points: Optional[Sequence[DesignPoint]] = None,
-    solver: Optional[str] = None,
-    time_limit: Optional[float] = None,
-    seed: int = 0,
-    run_complete: bool = True,
-    jobs: int = 1,
-    artifact_dir: Optional[str] = None,
-    warm_retries: bool = True,
-    presolve: bool = True,
-) -> List[ExperimentRow]:
-    """One-call version of the Table 3 experiment (used by the benchmarks)."""
-    harness = Table3Harness(
-        points=points,
-        solver=solver,
-        time_limit=time_limit,
-        seed=seed,
-        run_complete=run_complete,
-        jobs=jobs,
-        artifact_dir=artifact_dir,
-        warm_retries=warm_retries,
-        presolve=presolve,
-    )
-    return harness.run()

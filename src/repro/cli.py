@@ -898,9 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit machine-readable results on stdout")
     batch.set_defaults(func=_cmd_batch)
 
-    scenarios = sub.add_parser(
-        "scenarios", help="list registered scenario families"
-    )
+    scenarios = sub.add_parser("scenarios", help="list scenario families")
     scenarios.add_argument("--json", action="store_true",
                            help="emit machine-readable JSON")
     scenarios.set_defaults(func=_cmd_scenarios)

@@ -22,7 +22,6 @@ from .allocation import (
     accepted_allocation_options,
     estimated_ports_for_split,
     is_split_accepted,
-    packable_with_ports,
     powers_of_two_up_to,
     space_allocation_options,
     table2_rows,
@@ -39,7 +38,6 @@ from .mapping import (
     MappingResult,
     PlacedFragment,
 )
-from .multipu import MultiPuCostModel, MultiPuMapper, MultiPuSystem, ProcessingUnit
 from .report import render_assignment, render_full_report, render_memory_map
 from .objective import CostBreakdown, CostModel, CostWeights
 from .pipeline import MemoryMapper
@@ -78,7 +76,6 @@ __all__ = [
     "select_beta",
     "decompose_structure",
     "space_allocation_options",
-    "packable_with_ports",
     "accepted_allocation_options",
     "estimated_ports_for_split",
     "is_split_accepted",
@@ -98,11 +95,7 @@ __all__ = [
     "validate_global_mapping",
     "validate_detailed_mapping",
     "ensure_valid",
-    # extensions
-    "ProcessingUnit",
-    "MultiPuSystem",
-    "MultiPuCostModel",
-    "MultiPuMapper",
+    # reports
     "render_assignment",
     "render_memory_map",
     "render_full_report",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .preprocess import consumed_ports, next_power_of_two
+from .preprocess import consumed_ports
 
 __all__ = [
     "powers_of_two_up_to",
@@ -29,7 +29,6 @@ __all__ = [
     "is_split_accepted",
     "accepted_allocation_options",
     "table2_rows",
-    "packable_with_ports",
 ]
 
 
@@ -101,20 +100,6 @@ def accepted_allocation_options(depth: int, num_ports: int) -> List[Tuple[int, .
         for split in space_allocation_options(depth, num_ports)
         if is_split_accepted(split, depth, num_ports)
     ]
-
-
-def packable_with_ports(split: Sequence[int], depth: int, num_ports: int) -> bool:
-    """Whether a word split physically fits a ``depth``-word ``num_ports`` bank.
-
-    The *physical* requirement (as opposed to the Figure 3 estimate) is only
-    that each non-zero fraction gets one port and that the power-of-two
-    rounded fractions fit in the instance's words.  This is the ground truth
-    the ``refined`` port-estimation mode of the pre-processor (the paper's
-    future-work item for banks with more than two ports) is validated
-    against.
-    """
-    rounded = [next_power_of_two(words) for words in split if words > 0]
-    return len(rounded) <= num_ports and sum(rounded) <= depth
 
 
 def table2_rows(depth: int = 16, num_ports: int = 3) -> List[Dict[str, object]]:

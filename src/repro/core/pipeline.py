@@ -13,7 +13,7 @@ execute multiple times until a solution is found").
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..arch.board import Board
 from ..design.design import Design
@@ -252,45 +252,3 @@ class MemoryMapper:
     def map_global_only(self, design: Design) -> GlobalMapping:
         """Run only the global stage (used by benchmarks and ablations)."""
         return self.global_mapper.solve(design)
-
-    def map_batch(
-        self,
-        designs: Iterable[Design],
-        jobs: int = 1,
-        cache_dir: Optional[str] = None,
-        timeout: Optional[float] = None,
-        retries: int = 0,
-    ) -> List["JobResult"]:
-        """Map many designs onto this board through the batch engine.
-
-        Returns one :class:`repro.engine.JobResult` per design, in input
-        order.  With ``jobs > 1`` the designs are mapped concurrently in
-        worker processes; results are identical to a serial run.
-        """
-        from ..engine import (  # local: io -> core cycle
-            MODE_FAST,
-            MODE_PIPELINE,
-            MappingEngine,
-            MappingJob,
-        )
-
-        batch = [
-            MappingJob(
-                board=self.board,
-                design=design,
-                weights=self.weights,
-                solver=self.solver,
-                solver_options=self.solver_options,
-                capacity_mode=self.capacity_mode,
-                port_estimation=self.port_estimation,
-                warm_start=self.warm_start,
-                warm_retries=self.warm_retries,
-                mode=MODE_FAST if self.mode == "fast" else MODE_PIPELINE,
-                gap_limit=self.gap_limit if self.mode == "fast" else None,
-            )
-            for design in designs
-        ]
-        engine = MappingEngine(
-            jobs=jobs, cache_dir=cache_dir, timeout=timeout, retries=retries
-        )
-        return engine.run(batch)

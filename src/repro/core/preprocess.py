@@ -316,10 +316,6 @@ class Preprocessor:
                 f"no metrics for structure {structure!r} on bank type {bank_type!r}"
             )
 
-    def consumed_ports_table(self) -> np.ndarray:
-        """CP[d][t] as an array indexed by (segment index, type index)."""
-        return self.cp.copy()
-
     def consumed_bits_table(self) -> np.ndarray:
         """CW[d][t] * CD[d][t] as an array (capacity-constraint load)."""
         return (self.cw * self.cd).copy()

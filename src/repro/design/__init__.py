@@ -8,7 +8,7 @@ benchmark designs and realistic example workloads.
 """
 
 from .conflicts import ConflictSet
-from .dagsched import DagScheduleGenerator, dag_schedule_design
+from .dagsched import DagScheduleGenerator
 from .datastruct import DataStructure, DesignError
 from .design import Design
 from .generator import DesignGenerator, random_design
@@ -33,7 +33,6 @@ __all__ = [
     "DesignGenerator",
     "random_design",
     "DagScheduleGenerator",
-    "dag_schedule_design",
     "image_pipeline_design",
     "fir_filter_design",
     "fft_design",

@@ -130,26 +130,6 @@ class ConflictSet:
                 cliques.append([name])
         return cliques
 
-    def worst_case_bits(self, structures: Sequence[DataStructure]) -> int:
-        """Largest simultaneous storage demand of ``structures``.
-
-        Without sharing this is simply the sum of sizes; with lifetime
-        information it is the size of the heaviest conflict clique found by
-        the greedy cover (a safe upper bound on the simultaneous demand and
-        a lower bound on required capacity).
-        """
-        structures = list(structures)
-        if not structures:
-            return 0
-        sizes = {ds.name: ds.size_bits for ds in structures}
-        # If every pair conflicts the answer is the plain sum.
-        if all(
-            self.conflicts(a.name, b.name) for a, b in combinations(structures, 2)
-        ):
-            return sum(sizes.values())
-        cliques = self.conflict_cliques(structures)
-        return max(sum(sizes[name] for name in clique) for clique in cliques)
-
     def union(self, other: "ConflictSet") -> "ConflictSet":
         return ConflictSet(self.pairs | other.pairs)
 

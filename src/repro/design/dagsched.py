@@ -40,7 +40,7 @@ from .datastruct import DataStructure, DesignError
 from .design import Design
 from .taskgraph import Task, TaskGraph
 
-__all__ = ["DagScheduleGenerator", "dag_schedule_design"]
+__all__ = ["DagScheduleGenerator"]
 
 #: Word widths typical of intermediate buffers in streaming dataflow code.
 _BUFFER_WIDTHS: Tuple[int, ...] = (8, 8, 12, 16, 16, 24, 32)
@@ -178,27 +178,3 @@ class DagScheduleGenerator:
             fitted.append(DataStructure(ds.name, depth, width))
         return fitted
 
-
-def dag_schedule_design(
-    depth: int = 4,
-    width: int = 3,
-    burstiness: float = 0.0,
-    branch_factor: float = 0.5,
-    slots: int = 2,
-    seed: int = 0,
-    board: Optional[Board] = None,
-    target_occupancy: float = 0.45,
-    name: Optional[str] = None,
-) -> Design:
-    """Convenience wrapper around :class:`DagScheduleGenerator`."""
-    generator = DagScheduleGenerator(
-        seed=seed,
-        depth=depth,
-        width=width,
-        burstiness=burstiness,
-        branch_factor=branch_factor,
-        slots=slots,
-    )
-    return generator.generate(
-        name=name, board=board, target_occupancy=target_occupancy
-    )

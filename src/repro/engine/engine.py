@@ -330,16 +330,6 @@ class MappingEngine:
         finally:
             self.stop_persistent()
 
-    def map_result(self, result: JobResult):
-        """Rehydrate a pipeline job's full :class:`MappingResult`."""
-        from ..io.serialize import mapping_result_from_dict
-
-        if result.result is None or result.result.get("kind") != "mapping_result":
-            raise ValueError(
-                f"job {result.label!r} carries no mapping_result document"
-            )
-        return mapping_result_from_dict(result.result)
-
     # ------------------------------------------------------------- internals
     def _run_pool(
         self,

@@ -1,8 +1,8 @@
 """Scenario catalog and Pareto design-space exploration.
 
 The subsystem that turns the repository from "reproduce the paper's
-tables" into "explore the design space the paper could not": a registry
-of parameterized scenario families (:mod:`repro.explore.scenarios`),
+tables" into "explore the design space the paper could not": a fixed
+catalog of parameterized scenario families (:mod:`repro.explore.scenarios`),
 sweep grids over them (:mod:`repro.explore.grid`), a warm-chained
 multi-objective explorer (:mod:`repro.explore.explorer`) with Pareto
 reduction (:mod:`repro.explore.pareto`) and plain-text reporting
@@ -19,7 +19,6 @@ from .scenarios import (
     ScenarioPoint,
     UnknownScenarioError,
     list_scenario_families,
-    register_scenario,
     scenario_family,
 )
 from .explorer import (
@@ -39,7 +38,6 @@ __all__ = [
     "ParamSpec",
     "ScenarioFamily",
     "ScenarioPoint",
-    "register_scenario",
     "scenario_family",
     "list_scenario_families",
     "ScenarioSweep",

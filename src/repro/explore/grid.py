@@ -1,4 +1,4 @@
-"""Scenario grids: sweep specifications over the scenario registry.
+"""Scenario grids: sweep specifications over the scenario families.
 
 A grid is a list of *sweeps*.  Each sweep names one scenario family and a
 set of parameter axes; its points are the Cartesian product of the axis
@@ -196,14 +196,6 @@ class ScenarioSweep:
             "axes": {key: list(values) for key, values in self.axes.items()},
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSweep":
-        axes = data.get("axes") or {}
-        return cls(
-            family=data["family"],
-            axes={key: tuple(values) for key, values in axes.items()},
-        )
-
 
 @dataclass(frozen=True)
 class ScenarioGrid:
@@ -255,12 +247,3 @@ class ScenarioGrid:
 
     def to_dict(self) -> Dict[str, Any]:
         return {"sweeps": [sweep.to_dict() for sweep in self.sweeps]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioGrid":
-        return cls(
-            sweeps=tuple(
-                ScenarioSweep.from_dict(entry)
-                for entry in (data.get("sweeps") or [])
-            )
-        )

@@ -1,4 +1,4 @@
-"""The scenario registry: named, parameterized scenario families.
+"""The scenario catalog: named, parameterized scenario families.
 
 The paper's evaluation is a handful of fixed workloads mapped onto one
 board family.  A *scenario family* generalises that: it is a named recipe
@@ -6,25 +6,26 @@ that turns a parameter dictionary plus a seed into one concrete
 ``(design, board)`` mapping instance.  Families combine the workload
 builders of :mod:`repro.design.workloads`, the synthetic generator of
 :mod:`repro.design.generator` and the board builders of
-:mod:`repro.arch.builder`, so a single registry covers both "the paper's
+:mod:`repro.arch.builder`, so a single catalog covers both "the paper's
 image pipeline at growing line widths" and "a synthetic board scaled to
 N banks".
 
-Families live in a process-global registry.  Each declares its parameters
+The families form a fixed table, built at import from the built-in
+definitions at the end of this module.  Each declares its parameters
 (:class:`ParamSpec`: name, type, default, meaning); instantiating a
 :class:`ScenarioPoint` validates the supplied parameters against those
 specs, so a typo'd knob is an :class:`UnknownScenarioError` /
 :class:`ScenarioParamError` at grid-parse time rather than a silent
 default deep inside a sweep.
 
-Points serialise to/from JSON through :func:`repro.io.scenario_point_to_dict`
-(kind ``"scenario_point"``), which is how grids are stored in explore
-artifacts and replayed later.
+Explore artifacts record their grid through
+:func:`repro.io.scenario_grid_to_dict` (kind ``"scenario_grid"``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from ..arch.board import Board
@@ -54,7 +55,6 @@ __all__ = [
     "ParamSpec",
     "ScenarioFamily",
     "ScenarioPoint",
-    "register_scenario",
     "scenario_family",
     "list_scenario_families",
 ]
@@ -65,7 +65,7 @@ class ExploreError(Exception):
 
 
 class UnknownScenarioError(ExploreError):
-    """A scenario family name is not in the registry."""
+    """A scenario family name is not one of the built-in families."""
 
 
 class ScenarioParamError(ExploreError):
@@ -158,32 +158,6 @@ class ScenarioFamily:
         self, overrides: Mapping[str, Any], seed: int = 0
     ) -> Tuple[Design, Board]:
         return self.builder(self.resolve_params(overrides), seed)
-
-
-#: The process-global registry of scenario families.
-_REGISTRY: Dict[str, ScenarioFamily] = {}
-
-
-def register_scenario(family: ScenarioFamily) -> ScenarioFamily:
-    """Register ``family``, replacing an existing one of the same name."""
-    _REGISTRY[family.name] = family
-    return family
-
-
-def scenario_family(name: str) -> ScenarioFamily:
-    """Look up a family by name; raises :class:`UnknownScenarioError`."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownScenarioError(
-            f"unknown scenario family {name!r}; registered families are "
-            f"{', '.join(sorted(_REGISTRY))}"
-        ) from None
-
-
-def list_scenario_families() -> List[ScenarioFamily]:
-    """Every registered family, sorted by name."""
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
 @dataclass(frozen=True)
@@ -458,5 +432,23 @@ _BUILTIN_FAMILIES: Tuple[ScenarioFamily, ...] = (
     ),
 )
 
-for _family in _BUILTIN_FAMILIES:
-    register_scenario(_family)
+#: Every scenario family by name, fixed at import.
+_FAMILIES: Mapping[str, ScenarioFamily] = MappingProxyType(
+    {family.name: family for family in _BUILTIN_FAMILIES}
+)
+
+
+def scenario_family(name: str) -> ScenarioFamily:
+    """Look up a family by name; raises :class:`UnknownScenarioError`."""
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise UnknownScenarioError(
+            f"unknown scenario family {name!r}; known families are "
+            f"{', '.join(sorted(_FAMILIES))}"
+        ) from None
+
+
+def list_scenario_families() -> List[ScenarioFamily]:
+    """Every family, sorted by name."""
+    return [_FAMILIES[name] for name in sorted(_FAMILIES)]

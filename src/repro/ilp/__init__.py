@@ -21,15 +21,7 @@ Typical usage::
     solution = m.solve()
 """
 
-from .errors import (
-    IlpError,
-    InfeasibleError,
-    ModelError,
-    NonLinearError,
-    SolverError,
-    TimeLimitExceeded,
-    UnboundedError,
-)
+from .errors import IlpError, ModelError, NonLinearError, SolverError
 from .expr import EQ, GE, LE, Constraint, LinExpr, Variable, quicksum
 from .model import MAXIMIZE, MINIMIZE, Model, SosGroup
 from .sparse import CsrMatrix
@@ -129,8 +121,5 @@ __all__ = [
     "IlpError",
     "ModelError",
     "NonLinearError",
-    "InfeasibleError",
-    "UnboundedError",
     "SolverError",
-    "TimeLimitExceeded",
 ]

@@ -345,9 +345,8 @@ class BranchAndBoundSolver:
         if options.lp_backend == "highs" and not highs_available():
             raise SolverError("HiGHS LP backend requested but SciPy is missing")
         self._lp_backend = options.lp_backend
-        if self._lp_backend == "auto" and not highs_available():
-            self._lp_backend = "revised"
-        stats.backend = f"bnb+{'highs' if self._lp_backend == 'auto' else self._lp_backend}"
+        # ``auto`` names its kernel only once an LP settles it.
+        stats.backend = "bnb" if self._lp_backend == "auto" else f"bnb+{self._lp_backend}"
         self._engine: Optional[RevisedSimplex] = None
         self._highs: Optional[HighsLp] = None
 

@@ -1,12 +1,10 @@
 """Exception types raised by the ILP modelling and solving substrate.
 
 The solver substrate in :mod:`repro.ilp` replaces the commercial CPLEX
-library used in the paper.  All failure modes are reported either through
-the :class:`repro.ilp.solution.Solution` status field (for "expected"
-outcomes such as infeasibility discovered during the solve) or through one
-of the exceptions defined here (for programming errors and for conditions
-that make continuing meaningless, such as an unbounded relaxation of a
-model that was supposed to be a finite 0/1 program).
+library used in the paper.  Expected outcomes (infeasible, unbounded,
+timed out) are reported through the :class:`repro.ilp.solution.Solution`
+status field; the exceptions defined here are raised for programming
+errors and for backend failures that make continuing meaningless.
 """
 
 from __future__ import annotations
@@ -34,26 +32,5 @@ class NonLinearError(ModelError):
     """
 
 
-class InfeasibleError(IlpError):
-    """Raised when an operation requires a feasible model but none exists.
-
-    Solvers normally *return* an infeasible status rather than raising; this
-    exception is used by internal phases (e.g. the phase-1 simplex) when an
-    infeasibility makes the requested computation impossible.
-    """
-
-
-class UnboundedError(IlpError):
-    """The linear relaxation is unbounded in the optimisation direction."""
-
-
 class SolverError(IlpError):
     """A backend failed unexpectedly (numerical breakdown, bad status)."""
-
-
-class TimeLimitExceeded(IlpError):
-    """Raised internally when a solver exceeds its wall-clock budget.
-
-    Public entry points catch this and convert it into a ``"timeout"``
-    solution status carrying the best incumbent found so far.
-    """

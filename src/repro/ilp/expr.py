@@ -21,7 +21,7 @@ APIs (PuLP, gurobipy, CPLEX docplex).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import ModelError, NonLinearError
 
@@ -34,8 +34,6 @@ __all__ = [
     "EQ",
     "quicksum",
 ]
-
-Number = Union[int, float]
 
 #: Constraint sense markers.  Kept as plain strings so that solutions and
 #: standard forms serialise naturally.
@@ -167,18 +165,6 @@ class LinExpr:
         self._names: Dict[int, str] = dict(_names) if _names else {}
 
     # -- constructors --------------------------------------------------------
-    @classmethod
-    def from_terms(
-        cls, terms: Iterable[Tuple[Variable, Number]], constant: float = 0.0
-    ) -> "LinExpr":
-        """Build an expression from ``(variable, coefficient)`` pairs."""
-        coeffs: Dict[int, float] = {}
-        names: Dict[int, str] = {}
-        for var, coeff in terms:
-            coeffs[var.index] = coeffs.get(var.index, 0.0) + float(coeff)
-            names[var.index] = var.name
-        return cls(coeffs, constant, _names=names)
-
     def copy(self) -> "LinExpr":
         return LinExpr(self.coeffs, self.constant, _names=self._names)
 
@@ -315,10 +301,6 @@ class Constraint:
         rhs = -combined.constant
         combined.constant = 0.0
         return cls(combined, sense, rhs)
-
-    def with_name(self, name: str) -> "Constraint":
-        self.name = name
-        return self
 
     def is_satisfied(self, assignment, tol: float = 1e-6) -> bool:
         """Check the constraint against a candidate assignment."""

@@ -1,8 +1,10 @@
 """Seeded LP instance generators shared by the fuzz suite and benchmarks.
 
-These started life inside ``tests/ilp/test_lp_fuzz.py``; the kernel
-micro-benchmark (``benchmarks/bench_lp_kernel.py``) needs the exact same
-families, so they live here now and both import them.  Every generator
+The kernel micro-benchmark (``benchmarks/bench_lp_kernel.py``) and the
+differential fuzz suite (``tests/ilp/test_lp_fuzz.py``) solve the exact
+same families, so both import them from here.  The infeasible and
+unbounded status cases, which only the fuzz suite uses, live next to it
+in ``tests/ilp/lp_status_cases.py``.  Every generator
 is a pure function of its ``seed`` — same seed, same
 :class:`~repro.ilp.standard_form.StandardForm` — which is what makes the
 differential suite deterministic and the benchmark comparable across
@@ -16,9 +18,6 @@ Families:
 * :func:`mixed_variable_lp` — free/fixed/negative-lower/box variables in
   one instance; infinite lower bounds are outside the tableau kernel's
   contract, so this family cross-checks revised vs HiGHS only.
-* :func:`infeasible_lp` / :func:`unbounded_lp` — unambiguous status
-  cases (a row demanding more than the box can give; a paying ray no
-  row blocks).
 * :func:`degenerate_lp` — transportation-style rings with stacked
   redundant rows (primal degeneracy, anti-cycling exercise).
 * :func:`large_sparse_lp` — the LU path's home turf: hundreds of rows
@@ -38,8 +37,6 @@ INF = float("inf")
 __all__ = [
     "feasible_box_lp",
     "mixed_variable_lp",
-    "infeasible_lp",
-    "unbounded_lp",
     "degenerate_lp",
     "large_sparse_lp",
 ]
@@ -118,52 +115,6 @@ def mixed_variable_lp(seed: int) -> StandardForm:
             model.add_constraint(expr == value, name=f"eq{row}")
     cost = rng.uniform(-4.0, 4.0, size=n)
     model.set_objective(quicksum(float(c) * v for c, v in zip(cost, x)))
-    return to_standard_form(model)
-
-
-def infeasible_lp(seed: int) -> StandardForm:
-    """Unambiguously infeasible: a row demands more than the box can give."""
-    rng = np.random.RandomState(seed)
-    n = int(rng.randint(2, 7))
-    model = Model(f"fuzz-infeasible-{seed}")
-    upper = rng.uniform(1.0, 5.0, size=n)
-    x = [model.add_continuous(f"x{i}", lb=0.0, ub=float(upper[i]))
-         for i in range(n)]
-    model.add_constraint(
-        quicksum(x) >= float(upper.sum() + rng.uniform(0.5, 3.0)),
-        name="impossible",
-    )
-    if seed % 2:  # a few satisfiable side rows to keep presight honest
-        coeffs = rng.uniform(0.1, 1.0, size=n)
-        model.add_constraint(
-            quicksum(float(c) * v for c, v in zip(coeffs, x))
-            <= float(coeffs @ upper),
-            name="fine",
-        )
-    model.set_objective(quicksum(x))
-    return to_standard_form(model)
-
-
-def unbounded_lp(seed: int) -> StandardForm:
-    """Unambiguously unbounded: a paying ray no ``<=`` row ever blocks."""
-    rng = np.random.RandomState(seed)
-    n = int(rng.randint(2, 6))
-    model = Model(f"fuzz-unbounded-{seed}")
-    ray = model.add_continuous("ray", lb=0.0, ub=INF)
-    others = [model.add_continuous(f"x{i}", lb=0.0, ub=float(rng.uniform(1, 4)))
-              for i in range(n - 1)]
-    for row in range(int(rng.randint(1, 4))):
-        # Non-positive coefficient on the ray: growing it never violates.
-        ray_coeff = float(rng.uniform(-1.0, 0.0))
-        coeffs = rng.uniform(-1.0, 1.0, size=n - 1)
-        rhs = float(rng.uniform(1.0, 4.0))
-        model.add_constraint(
-            ray_coeff * ray
-            + quicksum(float(c) * v for c, v in zip(coeffs, others))
-            <= rhs,
-            name=f"row{row}",
-        )
-    model.set_objective(-ray + quicksum(others) if others else -ray)
     return to_standard_form(model)
 
 

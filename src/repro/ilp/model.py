@@ -135,9 +135,6 @@ class Model:
         self.constraints.append(constraint)
         return constraint
 
-    def add_constraints(self, constraints: Iterable[Constraint]) -> List[Constraint]:
-        return [self.add_constraint(c) for c in constraints]
-
     # -------------------------------------------------------------- objective
     def set_objective(self, expr: Union[LinExpr, Variable, float], sense: Optional[str] = None) -> None:
         """Set the linear objective (replacing any previous one)."""

@@ -6,8 +6,8 @@ type's column block, so the constraint matrices carry a handful of
 non-zeros per row while a dense layout would allocate ``rows x columns``
 floats.  :class:`CsrMatrix` stores exactly the non-zeros (classic
 compressed-sparse-row layout) and provides the small set of operations
-the solvers need — matrix-vector products, column gathers, activity
-bounds — in vectorised NumPy.  The dense array is materialised lazily
+the solvers need — matrix-vector products, column gathers, row
+access — in vectorised NumPy.  The dense array is materialised lazily
 (and cached) only where a consumer genuinely needs it, which today is
 the simplex tableau.
 
@@ -171,40 +171,6 @@ class CsrMatrix:
             cols, vals = self.row_entries(i)
             out.append({int(c): float(v) for c, v in zip(cols, vals)})
         return out
-
-    def activity_bounds(
-        self, lb: np.ndarray, ub: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row (min, max) activity over the box ``lb <= x <= ub``.
-
-        Used by presolve to detect redundant and infeasible rows.  Rows
-        touching an unbounded variable get ``±inf`` accordingly.
-        """
-        lo = np.zeros(self.num_rows)
-        hi = np.zeros(self.num_rows)
-        if self.nnz == 0:
-            return lo, hi
-        col_lb = np.asarray(lb, dtype=np.float64)[self.indices]
-        col_ub = np.asarray(ub, dtype=np.float64)[self.indices]
-        low_term = np.where(self.data >= 0, self.data * col_lb, self.data * col_ub)
-        high_term = np.where(self.data >= 0, self.data * col_ub, self.data * col_lb)
-        rows = self._rows_of_nonzeros()
-        # bincount cannot carry infinities reliably through 0*inf; guard by
-        # computing finite sums and patching the infinite entries after.
-        with np.errstate(invalid="ignore"):
-            lo = np.bincount(rows, weights=np.nan_to_num(low_term, nan=0.0,
-                                                         posinf=0.0, neginf=0.0),
-                             minlength=self.num_rows)
-            hi = np.bincount(rows, weights=np.nan_to_num(high_term, nan=0.0,
-                                                         posinf=0.0, neginf=0.0),
-                             minlength=self.num_rows)
-        inf_low = np.bincount(rows[np.isneginf(low_term)],
-                              minlength=self.num_rows) > 0
-        inf_high = np.bincount(rows[np.isposinf(high_term)],
-                               minlength=self.num_rows) > 0
-        lo[inf_low] = -np.inf
-        hi[inf_high] = np.inf
-        return lo, hi
 
     def toarray(self) -> np.ndarray:
         """Dense materialisation (cached; treat the result as read-only)."""

@@ -11,22 +11,22 @@ produces:
 * **mapping results** — the global assignment, the cost breakdown and every
   placed fragment of the detailed mapping.
 
-The functions come in pairs (``*_to_dict`` / ``*_from_dict``) plus
-``save_json`` / ``load_json`` convenience wrappers.  Round-tripping a board
-or design through the schema reproduces an equal object; the test suite
-pins this down.
+Boards and designs are read and written (``*_to_dict`` / ``*_from_dict``,
+``load_board`` / ``load_design``); mapping results and scenario grids are
+only written.  ``save_json`` / ``load_json`` are the file helpers.
+Round-tripping a board or design through the schema reproduces an equal
+object; the test suite pins this down.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Union
 
 from ..arch.bank import BankType, MemoryConfig
 from ..arch.board import Board
-from ..core.mapping import DetailedMapping, Fragment, GlobalMapping, MappingResult, PlacedFragment
-from ..core.objective import CostBreakdown
+from ..core.mapping import DetailedMapping, GlobalMapping, MappingResult
 from ..design.conflicts import ConflictSet
 from ..design.datastruct import DataStructure
 from ..design.design import Design
@@ -39,15 +39,9 @@ __all__ = [
     "design_to_dict",
     "design_from_dict",
     "global_mapping_to_dict",
-    "global_mapping_from_dict",
     "detailed_mapping_to_dict",
-    "detailed_mapping_from_dict",
     "mapping_result_to_dict",
-    "mapping_result_from_dict",
-    "scenario_point_to_dict",
-    "scenario_point_from_dict",
     "scenario_grid_to_dict",
-    "scenario_grid_from_dict",
     "save_json",
     "load_json",
     "load_board",
@@ -193,17 +187,6 @@ def design_from_dict(data: Mapping[str, Any]) -> Design:
 # Mapping results
 # ---------------------------------------------------------------------------
 
-def _cost_from_dict(data: Optional[Mapping[str, Any]]) -> Optional[CostBreakdown]:
-    if data is None:
-        return None
-    return CostBreakdown(
-        latency=float(_require(data, "latency", "cost breakdown")),
-        pin_delay=float(_require(data, "pin_delay", "cost breakdown")),
-        pin_io=float(_require(data, "pin_io", "cost breakdown")),
-        weighted_total=float(_require(data, "weighted_total", "cost breakdown")),
-    )
-
-
 def global_mapping_to_dict(mapping: GlobalMapping) -> Dict[str, Any]:
     return {
         "kind": "global_mapping",
@@ -216,20 +199,6 @@ def global_mapping_to_dict(mapping: GlobalMapping) -> Dict[str, Any]:
         "solve_time": mapping.solve_time,
         "cost": mapping.cost.as_dict() if mapping.cost is not None else None,
     }
-
-
-def global_mapping_from_dict(data: Mapping[str, Any]) -> GlobalMapping:
-    """Rebuild a :class:`GlobalMapping` from :func:`global_mapping_to_dict`."""
-    _check_kind(data, "global_mapping")
-    return GlobalMapping(
-        design_name=_require(data, "design", "global mapping"),
-        board_name=_require(data, "board", "global mapping"),
-        assignment=dict(_require(data, "assignment", "global mapping")),
-        objective=float(_require(data, "objective", "global mapping")),
-        cost=_cost_from_dict(data.get("cost")),
-        solver_status=data.get("solver_status", "optimal"),
-        solve_time=float(data.get("solve_time", 0.0)),
-    )
 
 
 def detailed_mapping_to_dict(detailed: DetailedMapping) -> Dict[str, Any]:
@@ -262,45 +231,6 @@ def detailed_mapping_to_dict(detailed: DetailedMapping) -> Dict[str, Any]:
     }
 
 
-def detailed_mapping_from_dict(data: Mapping[str, Any]) -> DetailedMapping:
-    """Rebuild a :class:`DetailedMapping` from :func:`detailed_mapping_to_dict`."""
-    _check_kind(data, "detailed_mapping")
-    placements = []
-    for entry in _require(data, "placements", "detailed mapping"):
-        config = _require(entry, "config", "placement")
-        grid = entry.get("grid", [0, 0])
-        ports = tuple(int(p) for p in _require(entry, "ports", "placement"))
-        fragment = Fragment(
-            structure=_require(entry, "structure", "placement"),
-            region=_require(entry, "region", "placement"),
-            row=int(grid[0]),
-            col=int(grid[1]),
-            config=MemoryConfig(int(config["depth"]), int(config["width"])),
-            words=int(_require(entry, "words", "placement")),
-            allocated_words=int(_require(entry, "allocated_words", "placement")),
-            width_bits=int(_require(entry, "width_bits", "placement")),
-            # The schema does not carry the port charge explicitly; a placed
-            # fragment always holds exactly the ports it demanded.
-            port_demand=len(ports),
-            word_offset=int(entry.get("word_offset", 0)),
-            bit_offset=int(entry.get("bit_offset", 0)),
-        )
-        placements.append(
-            PlacedFragment(
-                fragment=fragment,
-                bank_type=_require(entry, "bank_type", "placement"),
-                instance=int(_require(entry, "instance", "placement")),
-                ports=ports,
-                base_word=int(_require(entry, "base_word", "placement")),
-            )
-        )
-    return DetailedMapping(
-        design_name=_require(data, "design", "detailed mapping"),
-        board_name=_require(data, "board", "detailed mapping"),
-        placements=tuple(placements),
-    )
-
-
 def mapping_result_to_dict(result: MappingResult) -> Dict[str, Any]:
     """Serialise a full :class:`MappingResult` (both stages plus costs)."""
     return {
@@ -318,72 +248,9 @@ def mapping_result_to_dict(result: MappingResult) -> Dict[str, Any]:
     }
 
 
-def mapping_result_from_dict(data: Mapping[str, Any]) -> MappingResult:
-    """Rebuild a full :class:`MappingResult` from :func:`mapping_result_to_dict`.
-
-    Used by the engine's on-disk result cache to rehydrate cached jobs and
-    by downstream tools that consume ``repro batch --json`` output.
-    """
-    _check_kind(data, "mapping_result")
-    cost = _cost_from_dict(_require(data, "cost", "mapping result"))
-    return MappingResult(
-        design=design_from_dict(_require(data, "design", "mapping result")),
-        board=board_from_dict(_require(data, "board", "mapping result")),
-        global_mapping=global_mapping_from_dict(
-            _require(data, "global_mapping", "mapping result")
-        ),
-        detailed_mapping=detailed_mapping_from_dict(
-            _require(data, "detailed_mapping", "mapping result")
-        ),
-        cost=cost,
-        global_time=float(data.get("global_time", 0.0)),
-        detailed_time=float(data.get("detailed_time", 0.0)),
-        retries=int(data.get("retries", 0)),
-        solve_stats=dict(data.get("solve_stats") or {}),
-    )
-
-
 # ---------------------------------------------------------------------------
-# File helpers
+# Scenario grids (the explore subsystem)
 # ---------------------------------------------------------------------------
-
-PathLike = Union[str, Path]
-
-
-# ---------------------------------------------------------------------------
-# Scenario points and grids (the explore subsystem)
-# ---------------------------------------------------------------------------
-
-def scenario_point_to_dict(point: "ScenarioPoint") -> Dict[str, Any]:
-    """Serialise a :class:`repro.explore.ScenarioPoint`.
-
-    Only the family name, the explicit parameter overrides and the seed
-    are stored — the family's defaults fill the rest when the point is
-    rebuilt, so documents stay valid when a family grows new parameters.
-    """
-    return {
-        "kind": "scenario_point",
-        "schema_version": SCHEMA_VERSION,
-        "family": point.family,
-        "params": dict(point.params),
-        "seed": point.seed,
-    }
-
-
-def scenario_point_from_dict(data: Mapping[str, Any]) -> "ScenarioPoint":
-    """Rebuild a scenario point; the family must be registered."""
-    from ..explore.scenarios import ExploreError, ScenarioPoint
-
-    _check_kind(data, "scenario_point")
-    try:
-        return ScenarioPoint(
-            family=_require(data, "family", "scenario_point"),
-            params=dict(data.get("params") or {}),
-            seed=int(data.get("seed", 0)),
-        )
-    except ExploreError as exc:
-        raise SerializationError(f"scenario_point: {exc}") from exc
-
 
 def scenario_grid_to_dict(grid: "ScenarioGrid") -> Dict[str, Any]:
     """Serialise a :class:`repro.explore.ScenarioGrid` (sweeps and axes)."""
@@ -394,16 +261,11 @@ def scenario_grid_to_dict(grid: "ScenarioGrid") -> Dict[str, Any]:
     }
 
 
-def scenario_grid_from_dict(data: Mapping[str, Any]) -> "ScenarioGrid":
-    """Rebuild a scenario grid; every family must be registered."""
-    from ..explore.grid import ScenarioGrid
-    from ..explore.scenarios import ExploreError
+# ---------------------------------------------------------------------------
+# File helpers
+# ---------------------------------------------------------------------------
 
-    _check_kind(data, "scenario_grid")
-    try:
-        return ScenarioGrid.from_dict(data)
-    except ExploreError as exc:
-        raise SerializationError(f"scenario_grid: {exc}") from exc
+PathLike = Union[str, Path]
 
 
 def save_json(document: Mapping[str, Any], path: PathLike) -> Path:

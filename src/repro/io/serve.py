@@ -31,7 +31,7 @@ locally-run one compare field by field — most importantly by fingerprint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .serialize import (
@@ -318,9 +318,6 @@ class JobStatus:
         if self.finished_at is None:
             return None
         return (self.finished_at - self.submitted_at) * 1000.0
-
-    def advanced(self, **changes) -> "JobStatus":
-        return replace(self, **changes)
 
     # ------------------------------------------------------------------ wire
     def to_wire(self) -> Dict[str, Any]:

@@ -823,10 +823,6 @@ class ReplicaSupervisor:
             endpoints.append((name, await self._spawn(name)))
         return endpoints
 
-    def alive(self, name: str) -> bool:
-        process = self._procs.get(name)
-        return process is not None and process.returncode is None
-
     async def restart(self, name: str) -> str:
         """Restart a dead replica; returns its new URL ('' on failure)."""
         process = self._procs.get(name)

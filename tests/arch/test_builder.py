@@ -12,7 +12,6 @@ from repro.arch import (
     board_with_complexity,
     flex10k_board,
     hierarchical_board,
-    synthetic_board,
     virtex_board,
 )
 
@@ -36,27 +35,6 @@ class TestNamedBoards:
         # Distances must be monotonically non-decreasing across the hierarchy.
         pins = [t.pins_traversed for t in board.bank_types]
         assert pins == sorted(pins)
-
-
-class TestSyntheticBoard:
-    def test_requested_shape(self):
-        board = synthetic_board(4, [8, 2, 6, 1], seed=3)
-        assert board.num_types == 4
-        assert board.total_banks == 17
-
-    def test_mismatched_instance_list_rejected(self):
-        with pytest.raises(ArchitectureError):
-            synthetic_board(3, [1, 2])
-
-    def test_deterministic_for_seed(self):
-        a = synthetic_board(4, [4, 4, 4, 4], seed=11)
-        b = synthetic_board(4, [4, 4, 4, 4], seed=11)
-        assert a.describe() == b.describe()
-
-    def test_alternates_onchip_and_offchip(self):
-        board = synthetic_board(4, [2, 2, 2, 2], seed=0)
-        assert board.bank_types[0].is_on_chip
-        assert not board.bank_types[1].is_on_chip
 
 
 class TestBoardWithComplexity:

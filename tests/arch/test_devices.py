@@ -12,7 +12,6 @@ from repro.arch import (
     VIRTEX_BLOCKRAM_COUNTS,
     apexe_esb,
     flex10k_eab,
-    list_devices,
     offchip_dram,
     offchip_sram,
     onchip_ram_table_rows,
@@ -98,10 +97,3 @@ class TestCatalogHelpers:
         assert virtex_row["banks"] == "8 - 208"
         assert virtex_row["size_bits"] == 4096
         assert len(virtex_row["configurations"]) == 5
-
-    def test_list_devices_by_family_alias(self):
-        assert list_devices("virtex")["XCV50"] == 8
-        assert list_devices("Flex 10K")["EPF10K70"] == 9
-        assert list_devices("apex-e")["EP20K30E"] == 12
-        with pytest.raises(KeyError):
-            list_devices("stratix")

@@ -9,7 +9,6 @@ from repro.bench import (
     ExperimentRow,
     Table3Harness,
     default_solver_backend,
-    run_table3,
 )
 
 
@@ -42,7 +41,7 @@ class TestHarness:
         assert not row.objectives_match
 
     def test_run_table3_over_two_points(self):
-        rows = run_table3(points=SCALED_DESIGN_POINTS[:2], time_limit=60)
+        rows = Table3Harness(points=SCALED_DESIGN_POINTS[:2], time_limit=60).run()
         assert len(rows) == 2
         assert all(r.global_status == "optimal" for r in rows)
         assert all(r.objectives_match for r in rows)

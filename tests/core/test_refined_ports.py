@@ -19,7 +19,6 @@ from repro.core import (
     MemoryMapper,
     Preprocessor,
     compute_pair_metrics,
-    packable_with_ports,
     refined_consumed_ports,
     validate_detailed_mapping,
 )
@@ -61,8 +60,6 @@ class TestRefinedCharge:
         metrics = compute_pair_metrics(DataStructure("half", 8, 8), three_port_bank)
         assert metrics.consumed_ports == 2
         assert refined_consumed_ports(metrics, three_port_bank) == 1
-        # The physical ground truth agrees that two such pieces share a bank.
-        assert packable_with_ports((8, 8, 0), 16, 3)
 
     def test_unknown_mode_rejected(self, three_port_board):
         design = Design.from_segments("x", [("a", 8, 8)])

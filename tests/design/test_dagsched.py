@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.arch import hierarchical_board
-from repro.design import DagScheduleGenerator, DesignError, dag_schedule_design
+from repro.design import DagScheduleGenerator, DesignError
 
 
 class TestKnobValidation:
@@ -29,21 +29,21 @@ class TestKnobValidation:
 
 class TestGeneration:
     def test_one_buffer_per_task(self):
-        design = dag_schedule_design(depth=4, width=3, seed=0)
+        design = DagScheduleGenerator(depth=4, width=3, seed=0).generate()
         # Flat layers (burstiness 0): depth x width tasks, one buffer each.
         assert design.num_segments == 12
 
     def test_identical_seed_is_identical_design(self):
-        a = dag_schedule_design(depth=5, width=3, branch_factor=0.7, seed=9)
-        b = dag_schedule_design(depth=5, width=3, branch_factor=0.7, seed=9)
+        a = DagScheduleGenerator(depth=5, width=3, branch_factor=0.7, seed=9).generate()
+        b = DagScheduleGenerator(depth=5, width=3, branch_factor=0.7, seed=9).generate()
         assert [(ds.name, ds.depth, ds.width) for ds in a] == [
             (ds.name, ds.depth, ds.width) for ds in b
         ]
         assert sorted(a.conflicts.pairs) == sorted(b.conflicts.pairs)
 
     def test_different_seeds_differ(self):
-        a = dag_schedule_design(depth=5, width=3, seed=1)
-        b = dag_schedule_design(depth=5, width=3, seed=2)
+        a = DagScheduleGenerator(depth=5, width=3, seed=1).generate()
+        b = DagScheduleGenerator(depth=5, width=3, seed=2).generate()
         assert [(ds.depth, ds.width) for ds in a] != [
             (ds.depth, ds.width) for ds in b
         ]
@@ -52,7 +52,7 @@ class TestGeneration:
         # Buffers of distant layers never coexist, so the conflict graph
         # must be strictly sparser than all-pairs — the structural
         # difference from the paper's pipeline workloads.
-        design = dag_schedule_design(depth=8, width=2, branch_factor=0.3, seed=4)
+        design = DagScheduleGenerator(depth=8, width=2, branch_factor=0.3, seed=4).generate()
         n = design.num_segments
         assert len(design.conflicts) < n * (n - 1) // 2
 
@@ -65,8 +65,8 @@ class TestGeneration:
         assert widths[1] > 4 and widths[0] < 4
 
     def test_fewer_slots_stretch_the_schedule(self):
-        tight = dag_schedule_design(depth=4, width=4, slots=1, seed=2)
-        loose = dag_schedule_design(depth=4, width=4, slots=8, seed=2)
+        tight = DagScheduleGenerator(depth=4, width=4, slots=1, seed=2).generate()
+        loose = DagScheduleGenerator(depth=4, width=4, slots=8, seed=2).generate()
         # Same DAG either way; only the per-step capacity (and hence the
         # lifetimes/conflicts) changes.
         assert tight.num_segments == loose.num_segments
@@ -74,11 +74,11 @@ class TestGeneration:
 
     def test_board_fit_respects_capacity(self):
         board = hierarchical_board()
-        design = dag_schedule_design(
-            depth=4, width=3, seed=0, board=board, target_occupancy=0.4
+        design = DagScheduleGenerator(depth=4, width=3, seed=0).generate(
+            board=board, target_occupancy=0.4
         )
         assert design.total_bits <= board.total_capacity_bits
 
     def test_wrapper_names_the_design(self):
-        design = dag_schedule_design(depth=3, width=2, seed=6)
+        design = DagScheduleGenerator(depth=3, width=2, seed=6).generate()
         assert design.name == "dag-3x2-seed6"

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.design import Task, TaskGraph
-from repro.design.dagsched import dag_schedule_design
+from repro.design.dagsched import DagScheduleGenerator
 from repro.design.workloads import all_example_designs
 
 nx = pytest.importorskip("networkx")
@@ -63,8 +63,8 @@ def shipped_graphs(monkeypatch):
 def dag_schedule_graphs(monkeypatch):
     def build():
         for seed in range(4):
-            dag_schedule_design(depth=4, width=3, branch_factor=0.6, slots=2, seed=seed)
-            dag_schedule_design(depth=5, width=2, burstiness=0.5, slots=3, seed=seed)
+            DagScheduleGenerator(depth=4, width=3, branch_factor=0.6, slots=2, seed=seed).generate()
+            DagScheduleGenerator(depth=5, width=2, burstiness=0.5, slots=3, seed=seed).generate()
 
     return captured_graphs(monkeypatch, build)
 

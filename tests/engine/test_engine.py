@@ -136,20 +136,14 @@ class TestJobResultSchema:
         assert rebuilt.assignment == result.assignment
         assert rebuilt.status == result.status
 
-    def test_map_result_rehydrates_full_mapping(self):
-        engine = MappingEngine(jobs=1)
-        result = engine.run(small_batch()[:1])[0]
-        mapping = engine.map_result(result)
-        assert mapping.global_mapping.objective == pytest.approx(result.objective)
-        assert mapping.detailed_mapping.num_fragments > 0
-
 
 class TestMemoryMapperBatch:
     def test_map_batch_matches_individual_map_calls(self):
         board = virtex_board("XCV1000")
         designs = [fir_filter_design(), matrix_multiply_design()]
-        mapper = MemoryMapper(board, solver="bnb-pure")
-        results = mapper.map_batch(designs)
+        jobs = [MappingJob(board=board, design=design, solver="bnb-pure")
+                for design in designs]
+        results = MappingEngine(jobs=1).run(jobs)
         assert [r.status for r in results] == [STATUS_OK, STATUS_OK]
         for design, job_result in zip(designs, results):
             direct = MemoryMapper(board, solver="bnb-pure").map(design)

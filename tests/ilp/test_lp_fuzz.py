@@ -1,9 +1,10 @@
 """Differential LP fuzzing suite: three kernels, one answer.
 
-A seeded generator (shared with the kernel micro-benchmark via
-:mod:`repro.ilp.instances`) builds random :class:`StandardForm`
+Seeded generators (shared with the kernel micro-benchmark via
+:mod:`repro.ilp.instances`, plus the status cases of
+``lp_status_cases.py`` next to this file) build random :class:`StandardForm`
 instances — mixed ``==``/``<=`` rows, free/fixed/bounded variables,
-degenerate, infeasible, unbounded and large sparse cases — and
+degenerate, infeasible, unbounded and large sparse cases.  The suite
 cross-checks the revised simplex against the legacy dense tableau and
 (when SciPy is present) HiGHS.  Statuses must agree exactly; objectives
 to 1e-6.  On top of the kernel cross-check, both basis representations
@@ -32,11 +33,11 @@ from repro.ilp import (
 from repro.ilp.instances import (
     degenerate_lp,
     feasible_box_lp,
-    infeasible_lp,
     large_sparse_lp,
     mixed_variable_lp,
-    unbounded_lp,
 )
+
+from lp_status_cases import infeasible_lp, unbounded_lp
 
 # --------------------------------------------------------------------------
 # Seed corpus.  Every seed is one deterministic LP; append the seed of any

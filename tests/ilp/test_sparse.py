@@ -69,20 +69,6 @@ class TestOperations:
             {1: 3.5, 3: 1.0},
         ]
 
-    def test_activity_bounds(self):
-        sparse, _ = example_matrix()
-        lb = np.zeros(4)
-        ub = np.ones(4)
-        lo, hi = sparse.activity_bounds(lb, ub)
-        np.testing.assert_allclose(lo, [-2.0, 0.0, 0.0])
-        np.testing.assert_allclose(hi, [1.0, 0.0, 4.5])
-
-    def test_activity_bounds_with_infinite_bounds(self):
-        sparse = CsrMatrix.from_coeff_rows([{0: 1.0}, {0: -1.0}], 1)
-        lo, hi = sparse.activity_bounds(np.array([0.0]), np.array([np.inf]))
-        assert lo.tolist() == [0.0, -np.inf]
-        assert hi.tolist() == [np.inf, 0.0]
-
     def test_toarray_is_cached(self):
         sparse, _ = example_matrix()
         assert sparse.toarray() is sparse.toarray()

@@ -18,14 +18,11 @@ from repro.io import (
     board_to_dict,
     design_from_dict,
     design_to_dict,
-    detailed_mapping_from_dict,
     detailed_mapping_to_dict,
-    global_mapping_from_dict,
     global_mapping_to_dict,
     load_board,
     load_design,
     load_json,
-    mapping_result_from_dict,
     mapping_result_to_dict,
     save_json,
 )
@@ -153,45 +150,6 @@ class TestResultSerialisation:
         # The embedded board and design documents round-trip on their own.
         assert board_from_dict(loaded["board"]).name == result.board.name
         assert design_from_dict(loaded["design"]).num_segments == result.design.num_segments
-
-
-class TestResultRoundTrip:
-    """Results are no longer output-only: the engine cache rehydrates them."""
-
-    @pytest.fixture(scope="class")
-    def result(self):
-        board = hierarchical_board()
-        return MemoryMapper(board).map(image_pipeline_design())
-
-    def test_global_mapping_round_trip(self, result):
-        doc = global_mapping_to_dict(result.global_mapping)
-        rebuilt = global_mapping_from_dict(doc)
-        assert dict(rebuilt.assignment) == dict(result.global_mapping.assignment)
-        assert rebuilt.objective == pytest.approx(result.global_mapping.objective)
-        assert rebuilt.solver_status == result.global_mapping.solver_status
-        assert rebuilt.cost.as_dict() == result.global_mapping.cost.as_dict()
-        # Re-serialising the rebuilt object reproduces the document exactly.
-        assert global_mapping_to_dict(rebuilt) == doc
-
-    def test_detailed_mapping_round_trip(self, result):
-        doc = detailed_mapping_to_dict(result.detailed_mapping)
-        rebuilt = detailed_mapping_from_dict(doc)
-        assert rebuilt.num_fragments == result.detailed_mapping.num_fragments
-        assert rebuilt.instances_used() == result.detailed_mapping.instances_used()
-        assert detailed_mapping_to_dict(rebuilt) == doc
-
-    def test_mapping_result_round_trip_is_exact(self, result):
-        doc = mapping_result_to_dict(result)
-        rebuilt = mapping_result_from_dict(doc)
-        assert mapping_result_to_dict(rebuilt) == doc
-        assert rebuilt.cost.weighted_total == pytest.approx(result.cost.weighted_total)
-        assert rebuilt.retries == result.retries
-
-    def test_mapping_result_requires_all_sections(self, result):
-        doc = mapping_result_to_dict(result)
-        del doc["detailed_mapping"]
-        with pytest.raises(SerializationError):
-            mapping_result_from_dict(doc)
 
 
 class TestCacheKeyStability:

@@ -40,6 +40,16 @@ print(json.dumps({"backend": stats["backend"], "lp_solves": stats["lp_solves"],
                   "scipy": "scipy.optimize" in sys.modules}))
 """
 
+#: A map that presolve and propagation settle without a single LP.
+MAP_WITHOUT_LPS = """
+from repro.arch import hierarchical_board
+from repro.core.pipeline import MemoryMapper
+from repro.design import image_pipeline_design
+stats = MemoryMapper(hierarchical_board()).map(image_pipeline_design()).solve_stats
+print(json.dumps({"backend": stats["backend"], "lp_solves": stats["lp_solves"],
+                  "scipy": "scipy" in sys.modules}))
+"""
+
 
 def _src() -> str:
     return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -125,26 +135,33 @@ def test_a_spawn_pool_worker_loads_scipy_before_its_first_job():
     assert loaded == [highs_available(), False]
 
 
-def test_auto_falls_back_to_the_revised_kernel_when_scipy_fails_to_import(tmp_path):
-    # An installed SciPy that cannot be imported: ``find_spec`` finds it,
-    # so only the first LP learns that HiGHS is out of reach.
+@pytest.fixture
+def broken_scipy(tmp_path) -> str:
+    """A path entry whose ``scipy`` package raises ImportError on import.
+
+    It stands for an installed SciPy that cannot be imported: ``find_spec``
+    finds it, so only the first LP learns that HiGHS is out of reach.
+    """
     (tmp_path / "scipy").mkdir()
     (tmp_path / "scipy" / "__init__.py").write_text('raise ImportError("broken SciPy")\n')
-    found = _run(MAP_WITH_LPS, first_on_path=str(tmp_path))
+    return str(tmp_path)
+
+
+def test_auto_falls_back_to_the_revised_kernel_when_scipy_fails_to_import(broken_scipy):
+    found = _run(MAP_WITH_LPS, first_on_path=broken_scipy)
     assert found["backend"] == "bnb+revised"
     assert found["lp_solves"] > 0
     assert not found["scipy"]
 
 
 def test_a_map_that_solves_no_lp_does_not_import_scipy():
-    found = _run("""
-        from repro.arch import hierarchical_board
-        from repro.core.pipeline import MemoryMapper
-        from repro.design import image_pipeline_design
-        stats = MemoryMapper(hierarchical_board()).map(image_pipeline_design()).solve_stats
-        print(json.dumps({"lp_solves": stats["lp_solves"], "scipy": "scipy" in sys.modules}))
-    """)
-    assert found == {"lp_solves": 0, "scipy": False}
+    found = _run(MAP_WITHOUT_LPS)
+    assert found == {"backend": "bnb", "lp_solves": 0, "scipy": False}
+
+
+def test_a_solve_without_lps_names_no_kernel_even_when_scipy_is_broken(broken_scipy):
+    found = _run(MAP_WITHOUT_LPS, first_on_path=broken_scipy)
+    assert found == {"backend": "bnb", "lp_solves": 0, "scipy": False}
 
 
 def test_the_serial_engine_loads_scipy_before_its_first_job():
