@@ -35,7 +35,17 @@ rounding every node relaxation (:mod:`repro.ilp.heuristics`); warm starts
 arrive either explicitly (``warm_start``) or through the context's
 previous incumbent.  Every incumbent feeds the objective cutoff, which
 prunes nodes when they are popped and children when they are pushed,
-before any LP is solved.
+before any LP is solved.  A pushed child's bound is the larger of its
+structural floor and its parent's LP bound lifted by the parent's reduced
+costs (Driebeek penalties, from HiGHS and the revised kernel).
+
+The per-node bookkeeping runs on one :class:`~repro.ilp.sos.SosIndex` per
+tree, built after presolve: the SOS-1 members in group-sorted order.  The
+structural floor (which the objective cutoff, the push-time bound and the
+fast lane share), the cutoff's member fixings, the branching group and
+the rounded point are NumPy segment reductions over it, not Python loops
+over groups; incumbents are checked against the sparse rows
+(:meth:`StandardForm.is_feasible`).
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ from .presolve import Postsolve, presolve as run_presolve, propagate_bounds
 from .revised_simplex import BasisState, RevisedSimplex
 from .scipy_backend import HighsLp, bindings, highs_available, solve_lp_highs
 from .simplex import solve_lp_simplex
+from .sos import SosIndex
 from .solution import (
     ERROR,
     FEASIBLE,
@@ -235,48 +246,33 @@ class BranchAndBoundSolver:
     # ------------------------------------------------------------ branching
     def _select_sos_group(
         self,
-        groups: Sequence[Tuple[int, ...]],
+        groups: SosIndex,
         x: np.ndarray,
         lb: np.ndarray,
         ub: np.ndarray,
-    ) -> Optional[Tuple[Tuple[int, ...], np.ndarray]]:
-        """Pick the SOS-1 group whose LP values are the most fractional."""
-        tol = self.options.integrality_tol
-        best_group = None
-        best_score = tol
-        for members in groups:
-            members = np.asarray(members, dtype=int)
-            if np.all(ub[members] - lb[members] < tol):
-                continue  # already fully decided on this branch
-            values = x[members]
-            frac = np.minimum(values, 1.0 - values)
-            score = float(frac.sum())
-            if score > best_score:
-                best_score = score
-                best_group = (tuple(members.tolist()), values)
-        return best_group
+    ) -> Optional[np.ndarray]:
+        """Members of the undecided SOS-1 group whose LP values are the most fractional."""
+        group = groups.most_fractional(x, lb, ub, self.options.integrality_tol)
+        return None if group is None else groups.members(group)
 
     def _branch_sos(
         self,
-        members: Tuple[int, ...],
-        values: np.ndarray,
+        members: np.ndarray,
+        x: np.ndarray,
         node: _Node,
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Create one child per selectable group member (fix it to one)."""
         children: List[Tuple[np.ndarray, np.ndarray]] = []
-        order = np.argsort(-values)  # most promising member first
-        for position in order:
-            idx = members[int(position)]
+        order = np.argsort(-x[members])  # most promising member first
+        for idx in members[order]:
             if node.ub[idx] < 0.5:  # member already excluded on this branch
                 continue
             lb = node.lb.copy()
             ub = node.ub.copy()
+            lb[members] = 0.0
+            ub[members] = 0.0
             lb[idx] = 1.0
             ub[idx] = 1.0
-            for other in members:
-                if other != idx:
-                    lb[other] = 0.0
-                    ub[other] = 0.0
             children.append((lb, ub))
         return children
 
@@ -410,10 +406,7 @@ class BranchAndBoundSolver:
 
         def admissible(candidate: np.ndarray) -> bool:
             """Feasible for the model *and* the root fixings."""
-            tol = options.integrality_tol
-            if np.any(candidate < root_lb - tol) or np.any(candidate > root_ub + tol):
-                return False
-            return model.is_feasible(candidate)
+            return root_form.is_feasible(candidate, options.integrality_tol)
 
         # --------------------------------------------------------------- presolve
         post = Postsolve(
@@ -441,50 +434,44 @@ class BranchAndBoundSolver:
                 # constraint presolve could not see; report infeasible.
                 return finish(INFEASIBLE, None, math.inf, -math.inf)
 
-        column_map = post.column_map
-        reduced_groups: List[Tuple[int, ...]] = []
-        if branching == "sos1":
-            for group in model.sos1_groups:
-                mapped = tuple(
-                    int(column_map[m]) for m in group.members if column_map[m] >= 0
-                )
-                if len(mapped) >= 2:
-                    reduced_groups.append(mapped)
+        integrality_tol = options.integrality_tol
+
+        # ------------------------------------------------------ group index
+        # The node kernel's SOS-1 index, built once per tree after presolve:
+        # in the full space for rounding, in presolve's reduced space for
+        # the structural floor, the objective cutoff and SOS branching
+        # (variable branching keeps no groups there).
+        full_groups = SosIndex.from_groups(
+            [group.members for group in model.sos1_groups], form.c
+        )
+        tree_groups = (
+            full_groups if branching == "sos1" else SosIndex.from_groups([], form.c)
+        ).restrict(post.column_map, rform.c)
+        free_integers = np.flatnonzero(rform.integrality & ~tree_groups.in_group)
+        free_costs = rform.c[free_integers]
+
+        def structural_floor(lb: np.ndarray, ub: np.ndarray) -> Tuple[float, Optional[np.ndarray]]:
+            """Valid lower bound of the box and its group minima, no LP.
+
+            The push-time bound, the fast lane and the objective cutoff all
+            read this one floor (:meth:`SosIndex.floor`).
+            """
+            return tree_groups.floor(lb, ub, rform.objective_offset)
 
         # ------------------------------------------------- objective cutoff
-        # Bookkeeping for the per-node objective-cutoff filter: which
-        # reduced columns belong to an (exactly-one) SOS group, and which
-        # integer columns stand alone.
-        group_members = [np.asarray(g, dtype=int) for g in reduced_groups]
-        in_group = np.zeros(rform.num_variables, dtype=bool)
-        for members in group_members:
-            in_group[members] = True
-        free_integers = np.where(rform.integrality & ~in_group)[0]
-
         def apply_objective_cutoff(cutoff, lb, ub):
             """Filter a node's box against ``c.x <= cutoff``.
 
-            Uses the same exactly-one group semantics SOS branching relies
-            on: every group contributes at least its cheapest selectable
-            member, every other variable its interval minimum.  Members
-            whose selection alone would bust the cutoff are removed, and
-            nodes whose floor already exceeds it are pruned — all without
-            an LP solve.  Returns ``(feasible, lb, ub)``.
+            Uses the structural floor: every group contributes at least its
+            cheapest selectable member, every other variable its interval
+            minimum.  Members whose selection alone would bust the cutoff
+            are removed, free integers get their span cut to what the
+            slack allows, and nodes whose floor already exceeds it are
+            pruned — all without an LP solve.  Returns ``(feasible, lb, ub)``.
             """
-            c = rform.c
-            outside = ~in_group
-            base = float(np.where(c >= 0, c * lb, c * ub)[outside].sum())
-            minima = []
-            for members in group_members:
-                selectable = members[ub[members] > 0.5]
-                if selectable.size == 0:
-                    return False, lb, ub
-                forced = selectable[lb[selectable] > 0.5]
-                if forced.size:
-                    minima.append(float(c[forced].sum()))
-                else:
-                    minima.append(float(c[selectable].min()))
-            base += sum(minima) + rform.objective_offset
+            base, minima = structural_floor(lb, ub)
+            if minima is None:
+                return False, lb, ub
             if not math.isfinite(base):
                 # Unbounded-below contributions (free variables) poison the
                 # floor; the filter has nothing sound to say — skip it.
@@ -495,36 +482,24 @@ class BranchAndBoundSolver:
                 )
                 return False, lb, ub
             slack = cutoff - base
-            new_lb: Optional[np.ndarray] = None
-            new_ub: Optional[np.ndarray] = None
-            for members, group_min in zip(group_members, minima):
-                open_members = members[
-                    (ub[members] > 0.5) & (lb[members] < 0.5)
-                ]
-                too_dear = open_members[c[open_members] - group_min > slack + 1e-9]
-                if too_dear.size:
-                    if new_ub is None:
-                        new_lb, new_ub = lb.copy(), ub.copy()
-                    new_ub[too_dear] = 0.0
-                    stats.extra["objective_cutoff_fixings"] = (
-                        stats.extra.get("objective_cutoff_fixings", 0)
-                        + int(too_dear.size)
-                    )
-            for j in free_integers:
-                width = ub[j] - lb[j]
-                if width <= integrality_tol or abs(c[j]) * width <= slack + 1e-9:
-                    continue
-                span = math.floor(slack / abs(c[j]) + integrality_tol)
-                if new_ub is None:
-                    new_lb, new_ub = lb.copy(), ub.copy()
-                if c[j] >= 0:
-                    new_ub[j] = min(new_ub[j], lb[j] + span)
-                else:
-                    new_lb[j] = max(new_lb[j], ub[j] - span)
-                if new_ub[j] < new_lb[j] - integrality_tol:
-                    return False, lb, ub
-            if new_ub is None:
+            too_dear = tree_groups.too_dear(lb, ub, minima, slack + 1e-9)
+            width = ub[free_integers] - lb[free_integers]
+            tighten = (width > integrality_tol) & (np.abs(free_costs) * width > slack + 1e-9)
+            if not too_dear.size and not tighten.any():
                 return True, lb, ub
+            new_lb, new_ub = lb.copy(), ub.copy()
+            if too_dear.size:
+                new_ub[too_dear] = 0.0
+                stats.extra["objective_cutoff_fixings"] = (
+                    stats.extra.get("objective_cutoff_fixings", 0) + int(too_dear.size)
+                )
+            columns, c = free_integers[tighten], free_costs[tighten]
+            low, high = lb[columns], ub[columns]
+            span = np.floor(slack / np.abs(c) + integrality_tol)
+            new_ub[columns] = np.where(c >= 0, np.minimum(high, low + span), high)
+            new_lb[columns] = np.where(c >= 0, low, np.maximum(low, high - span))
+            if np.any(new_ub[columns] < new_lb[columns] - integrality_tol):
+                return False, lb, ub
             return True, new_lb, new_ub
 
         # ------------------------------------------------------------ warm start
@@ -568,31 +543,10 @@ class BranchAndBoundSolver:
                 and obj - bound <= options.gap_limit * max(abs(bound), 1e-9) + 1e-12
             )
 
-        def structural_floor(lb: np.ndarray, ub: np.ndarray) -> float:
-            """Valid lower bound from bounds + exactly-one groups, no LP.
-
-            The same floor the objective-cutoff filter computes: every
-            group contributes at least its cheapest selectable member,
-            everything else its interval minimum.
-            """
-            c = rform.c
-            base = float(np.where(c >= 0, c * lb, c * ub)[~in_group].sum())
-            for members in group_members:
-                selectable = members[ub[members] > 0.5]
-                if selectable.size == 0:
-                    return math.inf
-                forced = selectable[lb[selectable] > 0.5]
-                base += (
-                    float(c[forced].sum())
-                    if forced.size
-                    else float(c[selectable].min())
-                )
-            return base + rform.objective_offset
-
         if options.gap_limit is not None and incumbent is not None:
             # Fast lane: a warm/greedy incumbent that already certifies
             # against the structural floor returns before any LP is built.
-            floor = structural_floor(rform.lb, rform.ub)
+            floor = structural_floor(rform.lb, rform.ub)[0]
             if meets_gap(incumbent_obj, floor):
                 return finish(FEASIBLE, incumbent, incumbent_obj, floor)
 
@@ -613,7 +567,17 @@ class BranchAndBoundSolver:
         queue: List[_Node] = [root]
         best_bound = -math.inf
 
-        integrality_tol = options.integrality_tol
+        def fathomed(lb: np.ndarray, ub: np.ndarray) -> bool:
+            """A box with every variable fixed is evaluated, not solved as an LP."""
+            if not bool(np.all(ub - lb <= integrality_tol)):
+                return False
+            reduced = lb.copy()
+            reduced[rform.integrality] = np.round(reduced[rform.integrality])
+            stats.extra["nodes_fathomed_without_lp"] = (
+                stats.extra.get("nodes_fathomed_without_lp", 0) + 1
+            )
+            try_incumbent(post.restore(reduced))
+            return True
 
         while queue:
             if options.stop_check is not None and options.stop_check():
@@ -647,17 +611,7 @@ class BranchAndBoundSolver:
                         stats.extra.get("propagation_prunes", 0) + 1
                     )
                     continue
-                if bool(np.all(node_ub - node_lb <= integrality_tol)):
-                    # Propagation fixed every variable: evaluate the point
-                    # directly instead of solving a trivial LP.
-                    reduced = node_lb.copy()
-                    reduced[rform.integrality] = np.round(
-                        reduced[rform.integrality]
-                    )
-                    stats.extra["nodes_fathomed_without_lp"] = (
-                        stats.extra.get("nodes_fathomed_without_lp", 0) + 1
-                    )
-                    try_incumbent(post.restore(reduced))
+                if fathomed(node_lb, node_ub):
                     continue
                 # Children must inherit the tightened box.
                 node.lb, node.ub = node_lb, node_ub
@@ -668,15 +622,7 @@ class BranchAndBoundSolver:
                 if not feasible:
                     stats.nodes_pruned += 1
                     continue
-                if bool(np.all(node_ub - node_lb <= integrality_tol)):
-                    reduced = node_lb.copy()
-                    reduced[rform.integrality] = np.round(
-                        reduced[rform.integrality]
-                    )
-                    stats.extra["nodes_fathomed_without_lp"] = (
-                        stats.extra.get("nodes_fathomed_without_lp", 0) + 1
-                    )
-                    try_incumbent(post.restore(reduced))
+                if fathomed(node_lb, node_ub):
                     continue
                 node.lb, node.ub = node_lb, node_ub
             relaxation = self._solve_relaxation(
@@ -718,7 +664,7 @@ class BranchAndBoundSolver:
                 try_incumbent(post.restore(reduced))
                 continue
 
-            try_incumbent(round_with_sos(model, root_form, post.restore(x)))
+            try_incumbent(round_with_sos(root_form, full_groups, post.restore(x)))
 
             # Check the optimality gap against the best open bound.
             if incumbent is not None and math.isfinite(bound):
@@ -728,11 +674,10 @@ class BranchAndBoundSolver:
 
             children: List[Tuple] = []
             sos_children: List[Tuple[np.ndarray, np.ndarray]] = []
-            if branching == "sos1" and reduced_groups:
-                selection = self._select_sos_group(reduced_groups, x, node.lb, node.ub)
-                if selection is not None:
-                    members, values = selection
-                    sos_children = self._branch_sos(members, values, node)
+            if branching == "sos1":
+                members = self._select_sos_group(tree_groups, x, node.lb, node.ub)
+                if members is not None:
+                    sos_children = self._branch_sos(members, x, node)
             if sos_children:
                 children = [
                     (lb, ub, None, "", 0.0) for lb, ub in sos_children
@@ -753,7 +698,7 @@ class BranchAndBoundSolver:
                     # the incumbent is discarded before it ever costs a
                     # node: an incumbent prunes at the push as well as at
                     # the pop.
-                    floor = structural_floor(child_lb, child_ub)
+                    floor = structural_floor(child_lb, child_ub)[0]
                     if floor > child_bound:
                         child_bound = floor
                     if reduced_costs is not None:

@@ -7,7 +7,8 @@ search.  Two lightweight heuristics are provided:
 
 * :func:`round_with_sos` — round an LP-relaxation point to a candidate 0/1
   assignment, respecting SOS-1 groups by picking each group's largest
-  fractional member.
+  fractional member (segment reductions over a :class:`~repro.ilp.sos.
+  SosIndex`, so a node's rounding costs no Python loop over groups).
 * :func:`sos_greedy_assignment` — a constructive greedy that walks the SOS-1
   groups (the ``Z[d][t]`` rows of the mapping formulations) and picks, for
   each group, the cheapest member that keeps every ``<=`` constraint
@@ -22,55 +23,40 @@ from typing import Optional
 import numpy as np
 
 from .model import Model
+from .sos import SosIndex
 from .standard_form import StandardForm
 
 __all__ = ["round_with_sos", "sos_greedy_assignment"]
 
 
 def round_with_sos(
-    model: Model,
     form: StandardForm,
+    groups: SosIndex,
     x_frac: np.ndarray,
     tol: float = 1e-6,
 ) -> Optional[np.ndarray]:
     """Round a fractional LP point to a feasible integer point, if possible.
 
-    SOS-1 groups are rounded to their largest-value member (ties broken by
-    lowest objective coefficient); remaining integer variables are rounded
-    to the nearest integer within bounds.  Returns ``None`` when the rounded
-    point violates any constraint.
+    Every SOS-1 group of ``groups`` (an index over ``form``'s columns)
+    rounds to its winner (:meth:`SosIndex.round_winners` under
+    ``form``'s bounds: a member fixed to one, else the largest value,
+    ties to the lowest objective coefficient); remaining integer
+    variables are rounded to the nearest integer within bounds.  Returns
+    ``None`` when the rounded point violates any constraint.
     """
-    x = np.asarray(x_frac, dtype=float).copy()
-    in_group = np.zeros(form.num_variables, dtype=bool)
+    x = np.array(x_frac, dtype=float)
+    # Only members whose bounds still allow a one may win a group:
+    # branch-and-bound fixes forbidden candidates to zero via ``ub``.
+    winners = groups.round_winners(x, form.lb, form.ub, tol)
+    x[groups.perm] = 0.0
+    x[winners] = 1.0
 
-    for group in model.sos1_groups:
-        members = np.asarray(group.members, dtype=int)
-        in_group[members] = True
-        values = x[members]
-        # Only members whose bounds still allow a one may win the group:
-        # branch-and-bound fixes forbidden candidates to zero via ``ub``.
-        allowed = form.ub[members] >= 0.5
-        forced = form.lb[members] > 0.5
-        x[members] = 0.0
-        if np.any(forced):
-            x[members[np.argmax(forced)]] = 1.0
-            continue
-        if not np.any(allowed):
-            continue
-        candidates = members[allowed]
-        cand_values = values[allowed]
-        # Prefer the largest fractional value; break ties toward the member
-        # with the smallest objective coefficient so the incumbent is cheap.
-        order = np.lexsort((form.c[candidates], -cand_values))
-        if cand_values.max() > tol:
-            x[candidates[order[0]]] = 1.0
-
-    integer_mask = form.integrality & ~in_group
+    integer_mask = form.integrality & ~groups.in_group
     x[integer_mask] = np.clip(
         np.round(x[integer_mask]), form.lb[integer_mask], form.ub[integer_mask]
     )
 
-    if model.is_feasible(x, tol=1e-6):
+    if form.is_feasible(x, tol=1e-6):
         return x
     return None
 
@@ -160,6 +146,6 @@ def sos_greedy_assignment(
         if not placed:
             return None
 
-    if model.is_feasible(x, tol=1e-6):
+    if form.is_feasible(x, tol=1e-6):
         return x
     return None

@@ -151,9 +151,13 @@ class HighsLp:
         iterations = int(info.simplex_iteration_count)
         status = highs.getModelStatus()
         if status == core.HighsModelStatus.kOptimal:
-            return LpResult(OPTIMAL, x=np.array(highs.getSolution().col_value),
+            # ``col_dual`` is the reduced cost ``c - A^T y``: >= 0 at a lower
+            # bound, <= 0 at an upper bound (the tree minimises).
+            solution = highs.getSolution()
+            return LpResult(OPTIMAL, x=np.array(solution.col_value),
                             objective=float(info.objective_function_value),
-                            iterations=iterations, warm=warm)
+                            iterations=iterations, warm=warm,
+                            reduced_costs=np.array(solution.col_dual))
         if status == core.HighsModelStatus.kInfeasible:
             return LpResult(INFEASIBLE, iterations=iterations, warm=warm)
         if status == core.HighsModelStatus.kUnbounded:

@@ -113,8 +113,8 @@ class LpResult:
     btran_nnz: int = 0
     #: this solve's refactorizations keyed by trigger.
     refactor_triggers: Counts = field(default_factory=dict)
-    #: structural reduced costs at the optimal basis (revised kernel
-    #: only).  Branch-and-bound turns these into valid child-bound lifts
+    #: structural reduced costs at the optimal basis (revised kernel and
+    #: HiGHS; not the dense tableau).  Branch-and-bound turns these into valid child-bound lifts
     #: (reduced-cost penalties) that prune children before any LP.
     reduced_costs: Optional[np.ndarray] = None
 

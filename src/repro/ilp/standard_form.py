@@ -128,6 +128,23 @@ class StandardForm:
         internal = float(self.c @ x) + self.objective_offset
         return self.objective_scale * internal
 
+    def is_feasible(self, x: np.ndarray, tol: float = 1e-6) -> bool:
+        """Check ``x`` against the bounds, integrality and rows, each within ``tol``.
+
+        The rows are the model's, one for one (``>=`` rows negated), so
+        this agrees with :meth:`Model.is_feasible` on a form of the model's
+        own bounds.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if np.any(x < self.lb - tol) or np.any(x > self.ub + tol):
+            return False
+        integers = x[self.integrality]
+        if np.any(np.abs(integers - np.round(integers)) > tol):
+            return False
+        if np.any(self.A_ub_sparse.matvec(x) > self.b_ub + tol):
+            return False
+        return not np.any(np.abs(self.A_eq_sparse.matvec(x) - self.b_eq) > tol)
+
     def with_bounds(self, lb: np.ndarray, ub: np.ndarray) -> "StandardForm":
         """Return a copy of the form with replaced variable bounds.
 

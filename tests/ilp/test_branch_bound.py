@@ -229,3 +229,25 @@ class TestAgreementWithScipyMilp:
         ours = BranchAndBoundSolver().solve(m)
         reference = ScipyMilpSolver().solve(m)
         assert ours.objective == pytest.approx(reference.objective, abs=1e-6)
+
+
+
+class TestObjectiveCutoff:
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_cutoff_cuts_an_integer_span_to_the_incumbent_slack(self, sign):
+        # min sign*x + 1.5*y  s.t.  sign*x + y >= 6, x integer in [0, 10]
+        # (mirrored to [-10, 0] for sign -1), y binary.  The warm start
+        # x = 5*sign, y = 1 costs 6.5, so the cutoff leaves x a span of
+        # floor(6.5) = 6 from its cheap end; the optimum x = 6*sign,
+        # y = 0 (cost 6) sits exactly on that edge.
+        m = Model("span")
+        x = m.add_integer("x", lb=min(0, 10 * sign), ub=max(0, 10 * sign))
+        y = m.add_binary("y")
+        m.add_constraint(sign * x + y >= 6)
+        m.set_objective(sign * x + 1.5 * y)
+        warm = np.zeros(2)
+        warm[x.index], warm[y.index] = 5 * sign, 1.0
+        solution = BranchAndBoundSolver(warm_start=warm).solve(m)
+        assert solution.is_optimal
+        assert solution.objective == pytest.approx(6.0)
+        assert solution.rounded(x) == 6 * sign

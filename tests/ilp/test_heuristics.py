@@ -7,6 +7,7 @@ import pytest
 
 from repro.ilp import BranchAndBoundSolver, Model, quicksum, to_standard_form
 from repro.ilp.heuristics import round_with_sos, sos_greedy_assignment
+from repro.ilp.sos import SosIndex
 
 
 def make_assignment_model(cost, capacity):
@@ -26,6 +27,11 @@ def make_assignment_model(cost, capacity):
     return m, z
 
 
+def round_model(m, form, x):
+    groups = SosIndex.from_groups([g.members for g in m.sos1_groups], form.c)
+    return round_with_sos(form, groups, x)
+
+
 class TestRoundWithSos:
     def test_rounds_clean_fractional_point_to_feasible(self):
         cost = [[1, 5], [4, 2]]
@@ -36,7 +42,7 @@ class TestRoundWithSos:
         x[z[0][1].index] = 0.3
         x[z[1][0].index] = 0.4
         x[z[1][1].index] = 0.6
-        rounded = round_with_sos(m, form, x)
+        rounded = round_model(m, form, x)
         assert rounded is not None
         assert rounded[z[0][0].index] == 1.0
         assert rounded[z[1][1].index] == 1.0
@@ -50,7 +56,7 @@ class TestRoundWithSos:
         for i in range(3):  # every group leans toward the capacity-1 bin
             x[z[i][0].index] = 0.9
             x[z[i][1].index] = 0.1
-        assert round_with_sos(m, form, x) is None
+        assert round_model(m, form, x) is None
 
     def test_ties_broken_toward_cheaper_member(self):
         cost = [[7, 1]]
@@ -59,7 +65,7 @@ class TestRoundWithSos:
         x = np.zeros(m.num_variables)
         x[z[0][0].index] = 0.5
         x[z[0][1].index] = 0.5
-        rounded = round_with_sos(m, form, x)
+        rounded = round_model(m, form, x)
         assert rounded is not None
         assert rounded[z[0][1].index] == 1.0
 

@@ -299,3 +299,65 @@ class TestFuzzWarmEqualsCold:
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
         np.testing.assert_allclose(warm.x, cold.x, atol=1e-6)
+
+
+# --------------------------------------------------------------------------
+# HiGHS reduced costs: the branch-and-bound tree lifts a child's bound by
+# them (Driebeek penalties), so their sign must be the minimisation one.
+# --------------------------------------------------------------------------
+OPTIMAL_CORPUS = (
+    [(feasible_box_lp, seed) for seed in FEASIBLE_SEEDS]
+    + [(mixed_variable_lp, seed) for seed in MIXED_VAR_SEEDS]
+    + [(degenerate_lp, seed) for seed in DEGENERATE_SEEDS]
+    + [(large_sparse_lp, seed) for seed in LARGE_SPARSE_SEEDS]
+)
+
+
+def _corpus_id(case):
+    family, seed = case
+    return f"{family.__name__}-{seed}"
+
+
+def _bound_masks(form, x):
+    """(at lower, at upper) column masks of the vertex ``x``."""
+    return x <= form.lb + 1e-9, x >= form.ub - 1e-9
+
+
+@pytest.mark.skipif(not highs_available(), reason="needs SciPy's HiGHS")
+class TestHighsReducedCosts:
+    @pytest.mark.parametrize("case", OPTIMAL_CORPUS, ids=_corpus_id)
+    def test_sign_convention_is_the_minimisation_one(self, case):
+        family, seed = case
+        form = family(seed)
+        result = solve_lp_highs(form)
+        if result.status != "optimal":
+            pytest.skip("not an optimal case")
+        d = result.reduced_costs
+        assert d is not None and d.shape == (form.num_variables,)
+        at_lower, at_upper = _bound_masks(form, result.x)
+        # d >= 0 at a lower bound, d <= 0 at an upper bound, d = 0 between;
+        # a fixed column (at both) may carry either sign.
+        assert np.all(d[at_lower & ~at_upper] >= -1e-9)
+        assert np.all(d[at_upper & ~at_lower] <= 1e-9)
+        assert np.all(np.abs(d[~at_lower & ~at_upper]) <= 1e-9)
+
+    def test_agrees_with_the_revised_kernel_on_nondegenerate_vertices(self):
+        # Where both kernels stop at the same vertex and every basic
+        # variable (structural or row slack) sits strictly inside its
+        # bounds, the basis, and so the reduced costs, are unique.
+        compared = 0
+        for family, seed in OPTIMAL_CORPUS:
+            form = family(seed)
+            highs = solve_lp_highs(form)
+            revised = solve_lp_revised(form, RevisedOptions())
+            if highs.status != "optimal" or not np.allclose(highs.x, revised.x, atol=1e-7):
+                continue
+            at_lower, at_upper = _bound_masks(form, highs.x)
+            slack = form.b_ub - form.A_ub_sparse.matvec(highs.x)
+            basic = int(np.sum(~at_lower & ~at_upper)) + int(np.sum(slack > 1e-9))
+            if basic != form.num_ub_rows + form.num_eq_rows:
+                continue
+            np.testing.assert_allclose(highs.reduced_costs, revised.reduced_costs,
+                                       atol=1e-6, err_msg=_corpus_id((family, seed)))
+            compared += 1
+        assert compared >= 20

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ilp import MAXIMIZE, Model, ModelError, to_standard_form
+from repro.ilp import MAXIMIZE, Model, ModelError, quicksum, to_standard_form
 
 
 def build_basic_model():
@@ -80,3 +80,63 @@ class TestConversion:
         assert child.A_eq is form.A_eq
         assert child.lb[0] == 1.0
         assert form.lb[0] == 0.0
+
+
+#: Offsets from a constraint's or bound's edge: on it, inside or past it
+#: by half the tolerance, past it by twice the tolerance.
+TOL = 1e-6
+EDGE_OFFSETS = (0.0, -0.5 * TOL, 0.5 * TOL, 2.0 * TOL, -2.0 * TOL)
+
+
+def edge_model(seed):
+    """A random model and a point that sits near the edge of every check.
+
+    Bounds, integrality and LE/GE/EQ rows are each placed at one of
+    :data:`EDGE_OFFSETS` from the point, so some checks pass within the
+    tolerance and some fail just past it.
+    """
+    rng = np.random.default_rng(seed)
+    m = Model(f"edges-{seed}")
+    n = int(rng.integers(2, 7))
+    point = np.zeros(n)
+    variables = []
+    for j in range(n):
+        kind = rng.choice(["binary", "integer", "continuous"])
+        if kind == "continuous":
+            point[j] = rng.uniform(-5.0, 5.0)
+            lb = point[j] - abs(rng.choice(EDGE_OFFSETS)) - rng.choice([0.0, 1.0])
+            ub = point[j] + abs(rng.choice(EDGE_OFFSETS)) + rng.choice([0.0, 1.0])
+            variables.append(m.add_continuous(f"x{j}", lb=lb, ub=ub))
+        else:
+            var = m.add_binary(f"x{j}") if kind == "binary" else m.add_integer(f"x{j}", lb=-3, ub=3)
+            variables.append(var)
+            point[j] = float(rng.integers(var.lb, var.ub + 1)) + rng.choice(EDGE_OFFSETS)
+    for _ in range(int(rng.integers(1, 5))):
+        coeffs = np.round(rng.uniform(-3.0, 3.0, size=n), 2)
+        expr = quicksum(float(a) * v for a, v in zip(coeffs, variables))
+        edge = float(coeffs @ point) + rng.choice(EDGE_OFFSETS)
+        sense = rng.choice(["<=", ">=", "=="])
+        m.add_constraint(expr <= edge if sense == "<=" else expr >= edge if sense == ">=" else expr == edge)
+    return m, point
+
+
+class TestIsFeasible:
+    def test_agrees_with_the_model_check_near_every_edge(self):
+        verdicts = []
+        for seed in range(400):
+            m, point = edge_model(seed)
+            expected = m.is_feasible(point, tol=TOL)
+            assert to_standard_form(m).is_feasible(point, tol=TOL) == expected, seed
+            verdicts.append(expected)
+        # The offsets must exercise both sides of the tolerance.
+        assert 40 < sum(verdicts) < 360
+
+    def test_checks_the_form_bounds_not_the_model_bounds(self):
+        m, (x, y, z) = build_basic_model()
+        form = to_standard_form(m)
+        point = np.zeros(3)
+        point[x.index], point[y.index], point[z.index] = 0.0, 2.0, 2.0
+        assert form.is_feasible(point)
+        ub = form.ub.copy()
+        ub[z.index] = 1.0
+        assert not form.with_bounds(form.lb, ub).is_feasible(point)
