@@ -58,14 +58,6 @@ LP_KERNEL_KEYS = ("total_pivots", "total_etas_applied",
 HEURISTICS_KEYS = ("gap_limit", "total_exact_nodes", "num_fast_certified",
                    "all_gaps_ok")
 
-#: Keys a serve_scale artifact (``benchmarks/bench_serve_scale.py``)
-#: must carry.  Its gates run exclusively on deterministic counters —
-#: dedupe totals, shard balance, fingerprint equality — never on wall
-#: time or the timing-dependent shed/retry numbers.
-SERVE_SCALE_KEYS = ("replicas", "max_inflight", "totals", "by_replica",
-                    "shard_counts", "fingerprint_check", "phases")
-
-
 def load_artifact(path: Path) -> Dict[str, Any]:
     if not path.exists():
         raise SystemExit(f"error: artifact {path} does not exist")
@@ -97,10 +89,6 @@ def validate(document: Any) -> List[str]:
     problems: List[str] = []
     if not isinstance(document, dict):
         return ["top-level value is not an object"]
-    if document.get("name") == "serve_scale":
-        # The serve-tier artifact is phase-structured, not per-label rows;
-        # it has its own schema and deterministic gates.
-        return _validate_serve_scale(document)
     for key in REQUIRED_KEYS:
         if key not in document:
             problems.append(f"missing key {key!r}")
@@ -141,51 +129,6 @@ def validate(document: Any) -> List[str]:
         if document.get("all_gaps_ok") is False:
             problems.append("heuristics artifact records a fast run that "
                             "violated its optimality-gap contract")
-    return problems
-
-
-def _validate_serve_scale(document: Dict[str, Any]) -> List[str]:
-    """Schema + deterministic gates of a serve_scale artifact."""
-    problems: List[str] = []
-    if document.get("kind") != "bench_artifact":
-        problems.append(f"kind is {document.get('kind')!r}, "
-                        "expected 'bench_artifact'")
-    for key in SERVE_SCALE_KEYS:
-        if key not in document:
-            problems.append(f"serve_scale artifact missing key {key!r}")
-    totals = document.get("totals")
-    if not isinstance(totals, dict):
-        return problems + ["'totals' is not an object"]
-    if int(totals.get("errors", 0)):
-        problems.append(f"traffic run recorded {totals['errors']} errors")
-    if int(totals.get("fingerprint_conflicts", 0)):
-        problems.append("one cache key was served with two different "
-                        "fingerprints")
-    if int(totals.get("completed", 0)) <= 0:
-        problems.append("no job completed")
-    if int(totals.get("deduped", 0)) + int(totals.get("cache_hits", 0)) <= 0:
-        problems.append("duplicate-heavy traffic produced no dedupe")
-    check = document.get("fingerprint_check")
-    if not isinstance(check, dict):
-        problems.append("'fingerprint_check' is not an object")
-    else:
-        if int(check.get("compared", 0)) <= 0:
-            problems.append("fingerprint check compared nothing")
-        if check.get("mismatches"):
-            problems.append("served fingerprints diverged from the direct "
-                            "engine run")
-        if check.get("unknown_keys"):
-            problems.append("served cache keys not reproducible directly: "
-                            f"{check['unknown_keys']}")
-    replicas = int(document.get("replicas", 0))
-    shard_counts = document.get("shard_counts")
-    if isinstance(shard_counts, dict) and replicas >= 2:
-        busy = sum(1 for count in shard_counts.values() if int(count) > 0)
-        if busy < 2:
-            problems.append(
-                f"traffic landed on {busy} shard(s) out of {replicas}; "
-                "the consistent-hash ring is not spreading load"
-            )
     return problems
 
 
@@ -256,14 +199,10 @@ def _delta(base: Optional[float], cand: Optional[float]) -> str:
 
 def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
             fail_over: Optional[float]) -> int:
-    if baseline.get("name") == candidate.get("name") == "serve_scale":
-        return _compare_serve_scale(baseline, candidate)
     print(f"baseline : {baseline['name']} (solver={baseline.get('solver')}, "
-          f"jobs={baseline.get('jobs')}, warm_retries="
-          f"{baseline.get('warm_retries')}, presolve={baseline.get('presolve')})")
+          f"jobs={baseline.get('jobs')})")
     print(f"candidate: {candidate['name']} (solver={candidate.get('solver')}, "
-          f"jobs={candidate.get('jobs')}, warm_retries="
-          f"{candidate.get('warm_retries')}, presolve={candidate.get('presolve')})")
+          f"jobs={candidate.get('jobs')})")
     print()
 
     print(f"{'metric':<30} {'baseline':>12} {'candidate':>12} {'delta':>20}")
@@ -375,43 +314,6 @@ def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
     return 0
 
 
-def _compare_serve_scale(baseline: Dict[str, Any],
-                         candidate: Dict[str, Any]) -> int:
-    """Diff two serve_scale artifacts on their deterministic counters.
-
-    Validation (:func:`_validate_serve_scale`) already enforced the hard
-    gates on each artifact individually; the diff is informational plus
-    one relative check: the candidate must not dedupe *less* effectively
-    than the baseline on the same traffic schedule.
-    """
-    print(f"baseline : serve_scale ({baseline.get('replicas')} replicas, "
-          f"max_inflight={baseline.get('max_inflight')})")
-    print(f"candidate: serve_scale ({candidate.get('replicas')} replicas, "
-          f"max_inflight={candidate.get('max_inflight')})")
-    print()
-    base_totals = baseline.get("totals") or {}
-    cand_totals = candidate.get("totals") or {}
-    print(f"{'counter':<28} {'baseline':>12} {'candidate':>12} {'delta':>20}")
-    for key in sorted(set(base_totals) | set(cand_totals)):
-        print(f"{key:<28} {_fmt(base_totals.get(key)):>12} "
-              f"{_fmt(cand_totals.get(key)):>12} "
-              f"{_delta(base_totals.get(key), cand_totals.get(key)):>20}")
-    same_traffic = (
-        baseline.get("replicas") == candidate.get("replicas")
-        and base_totals.get("scheduled") == cand_totals.get("scheduled")
-    )
-    if same_traffic:
-        base_dedupe = int(base_totals.get("deduped", 0)) + \
-            int(base_totals.get("cache_hits", 0))
-        cand_dedupe = int(cand_totals.get("deduped", 0)) + \
-            int(cand_totals.get("cache_hits", 0))
-        if cand_dedupe < base_dedupe:
-            print(f"\nFAIL: candidate answered only {cand_dedupe} duplicates "
-                  f"without a fresh solve, baseline answered {base_dedupe}")
-            return 1
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="validate / diff BENCH_*.json artifacts")
@@ -427,14 +329,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.check is not None:
         document = load_artifact(args.check)
-        if document.get("name") == "serve_scale":
-            totals = document.get("totals") or {}
-            print(f"ok: {args.check} is a well-formed serve_scale artifact "
-                  f"({document.get('replicas')} replicas, "
-                  f"{totals.get('completed')} jobs completed, "
-                  f"{totals.get('deduped', 0) + totals.get('cache_hits', 0)} "
-                  "answered without a fresh solve)")
-            return 0
         print(f"ok: {args.check} is a well-formed bench artifact "
               f"({document['name']}, {document['num_points']} points, "
               f"{document['wall_seconds']:.3f}s)")

@@ -18,14 +18,14 @@ makes:
 5. the server shuts down cleanly on request (bounded by a timeout, with
    SIGKILL as the fallback so CI never hangs) and stops answering
    ``/healthz`` afterwards;
-6. a **replicated tier** (``repro serve --replicas 2``) answers the same
-   traffic with fingerprints identical to a direct run, spreads distinct
-   jobs across both shards, dedupes duplicates through the shared store,
-   and survives an open-loop ``repro loadgen`` burst with zero errors.
+6. a **parallel server** (``repro serve --jobs 2 --cache-dir D``)
+   answers the same traffic with fingerprints identical to a direct run,
+   dedupes duplicates, and survives an open-loop ``repro loadgen`` burst
+   with zero errors and zero fingerprint conflicts.
 
 Boot is retried over a small set of candidate ports (a fixed port can
 race a previous run still tearing down on a shared CI box), server
-stdout is pumped continuously into a bounded tail (so a chatty replica
+stdout is pumped continuously into a bounded tail (so a chatty server
 never blocks on a full pipe), and every failure report carries the
 captured log tail.
 
@@ -48,7 +48,7 @@ from collections import deque
 from typing import Deque, List, Sequence, Tuple
 
 PORT = int(os.environ.get("SERVE_SMOKE_PORT", "18742"))
-ROUTER_PORT = PORT + 1
+PARALLEL_PORT = PORT + 1
 BOARD = "virtex-xcv1000"
 DESIGNS = ["fir-filter", "matrix-multiply", "image-pipeline", "fft"]
 REPEAT = 2  # 4 designs x 2 = 8 concurrent submissions, 4 unique solves
@@ -176,19 +176,16 @@ def direct_reference() -> dict:
     }
 
 
-def replicated_phase(reference: dict) -> None:
-    """Boot a 2-replica tier and hold it to the single-server contract."""
+def parallel_phase(reference: dict) -> None:
+    """Boot ``repro serve --jobs 2`` and hold it to the same contract."""
     cache_dir = tempfile.mkdtemp(prefix="serve-smoke-cache-")
     server, url, logs = start_server(
-        [
-            "--replicas", "2", "--cache-dir", cache_dir,
-            "--max-batch", "4",
-        ],
-        ROUTER_PORT,
-        "smoke/replicas",
+        ["--jobs", "2", "--cache-dir", cache_dir, "--max-batch", "4"],
+        PARALLEL_PORT,
+        "smoke/jobs2",
     )
     try:
-        print(f"[smoke/replicas] 2-replica tier is up at {url}")
+        print(f"[smoke/jobs2] 2-worker server is up at {url}")
 
         submit = cli(
             "submit", "--url", url, "--board", BOARD,
@@ -207,16 +204,11 @@ def replicated_phase(reference: dict) -> None:
         for job in jobs:
             design = job["label"].split("@")[0]
             assert job["fingerprint"] == reference[design], (
-                f"replicated fingerprint of {design} differs from the "
+                f"fingerprint of {design} on 2 workers differs from the "
                 f"direct run: {job['fingerprint']} != {reference[design]}"
             )
-        replicas_used = {job["replica"] for job in jobs if job.get("replica")}
-        assert len(replicas_used) >= 2, (
-            f"4 distinct designs landed on one shard: {replicas_used}"
-        )
-        print(f"[smoke/replicas] {len(jobs)} submissions sharded across "
-              f"{sorted(replicas_used)}, {deduped} deduped, all "
-              "fingerprints match the direct run")
+        print(f"[smoke/jobs2] {len(jobs)} submissions ok, {deduped} "
+              "deduped, all fingerprints match the direct run")
 
         loadgen = cli(
             "loadgen", "--url", url, "--board", BOARD,
@@ -232,29 +224,18 @@ def replicated_phase(reference: dict) -> None:
         assert report["deduped"] + report["cache_hits"] > 0, (
             "a 0.6-duplicate burst produced no dedupe/cache hits"
         )
-        print(f"[smoke/replicas] loadgen burst ok: {report['completed']} "
+        print(f"[smoke/jobs2] loadgen burst ok: {report['completed']} "
               f"completed, {report['deduped'] + report['cache_hits']} "
               "answered without a duplicate solve, 0 errors")
 
-        health = json.loads(
-            cli("submit", "--url", url, "--health").stdout
-        )
-        assert health["role"] == "router", health
-        details = health["details"]
-        assert details["healthy_replicas"] == 2, details
-        busy = [n for n, c in details["shard_counts"].items() if c > 0]
-        assert len(busy) >= 2, (
-            f"traffic never balanced across shards: {details['shard_counts']}"
-        )
-        assert health["counters"]["routed"] > 0, health["counters"]
-        print(f"[smoke/replicas] shard counts {details['shard_counts']}, "
-              f"fleet counters {details['fleet']}")
+        health = json.loads(cli("submit", "--url", url, "--health").stdout)
+        assert health["workers"] == 2, health
 
         cli("submit", "--url", url, "--shutdown")
-        assert_clean_shutdown(server, url, "replicated tier")
-        print("[smoke/replicas] clean fleet shutdown")
+        assert_clean_shutdown(server, url, "2-worker server")
+        print("[smoke/jobs2] clean shutdown")
     finally:
-        stop_server(server, "smoke/replicas", logs)
+        stop_server(server, "smoke/jobs2", logs)
 
 
 def main() -> int:
@@ -339,7 +320,7 @@ def main() -> int:
         assert_clean_shutdown(server, url, "server")
         print("[smoke] clean shutdown")
 
-        replicated_phase(reference)
+        parallel_phase(reference)
         print("[smoke] PASS")
         return 0
     except AssertionError as failure:

@@ -23,7 +23,6 @@ __all__ = [
     "batch_artifact",
     "explore_artifact",
     "serve_artifact",
-    "serve_scale_artifact",
     "latency_percentiles",
     "total_keys",
     "write_bench_artifact",
@@ -216,75 +215,6 @@ def serve_artifact(
         },
         "counters": dict(counters),
         "results": [dict(r) for r in records],
-    }
-
-
-def serve_scale_artifact(
-    replicas: int,
-    max_inflight: int,
-    shed_priority: int,
-    phases: Mapping[str, Mapping[str, Any]],
-    router_health: Mapping[str, Any],
-    fingerprint_check: Mapping[str, Any],
-    elapsed: float,
-) -> Dict[str, Any]:
-    """Summarise one sharded-serve run as a ``BENCH_serve_scale.json`` doc.
-
-    ``phases`` maps phase names (``"poisson"``, ``"burst"``, ...) to
-    loadgen reports (:func:`repro.bench.loadgen.run_loadgen`);
-    ``router_health`` is the router's final health document and
-    ``fingerprint_check`` the outcome of comparing served mappings
-    against a direct engine run of the same jobs.
-
-    The headline numbers the CI gate reads are **deterministic counters**
-    — scheduled/deduped/shed totals, shard balance, fingerprint
-    equality — never wall-clock figures, which also appear (latency
-    percentiles per phase) but only for humans.
-    """
-    totals: Dict[str, int] = {}
-    for key in (
-        "scheduled",
-        "scheduled_duplicates",
-        "completed",
-        "ok",
-        "shed",
-        "retries_429",
-        "rejected_after_retries",
-        "errors",
-        "deduped",
-        "cache_hits",
-        "fingerprint_conflicts",
-    ):
-        totals[key] = sum(int(report.get(key, 0)) for report in phases.values())
-    by_replica: Dict[str, int] = {}
-    unique_keys = set()
-    for report in phases.values():
-        for name, count in (report.get("by_replica") or {}).items():
-            by_replica[name] = by_replica.get(name, 0) + int(count)
-        unique_keys.update((report.get("fingerprints") or {}).keys())
-    totals["unique_cache_keys"] = len(unique_keys)
-
-    details = router_health.get("details") or {}
-    phase_docs = {}
-    for name, report in phases.items():
-        trimmed = {k: v for k, v in report.items() if k not in ("jobs", "fingerprints")}
-        phase_docs[name] = trimmed
-    return {
-        "kind": "bench_artifact",
-        "artifact_version": ARTIFACT_VERSION,
-        "name": "serve_scale",
-        "replicas": replicas,
-        "max_inflight": max_inflight,
-        "shed_priority": shed_priority,
-        "elapsed_seconds": elapsed,
-        "totals": totals,
-        "by_replica": by_replica,
-        "router_counters": dict(router_health.get("counters") or {}),
-        "fleet_counters": dict(details.get("fleet") or {}),
-        "shard_counts": dict(details.get("shard_counts") or {}),
-        "healthy_replicas": int(details.get("healthy_replicas", 0)),
-        "fingerprint_check": dict(fingerprint_check),
-        "phases": phase_docs,
     }
 
 

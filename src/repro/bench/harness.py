@@ -114,8 +114,6 @@ class Table3Harness:
         jobs: int = 1,
         cache_dir: Optional[str] = None,
         artifact_dir: Optional[str] = None,
-        warm_retries: bool = True,
-        presolve: bool = True,
     ) -> None:
         self.points = tuple(points) if points is not None else default_design_points()
         self.solver = solver or default_solver_backend()
@@ -127,28 +125,14 @@ class Table3Harness:
         self.jobs = max(1, int(jobs))
         self.cache_dir = cache_dir
         self.artifact_dir = artifact_dir
-        #: benchmark knobs for comparing against the pre-presolve solve
-        #: path: cold retries and/or presolve off reproduce it.
-        self.warm_retries = warm_retries
-        self.presolve = presolve
         # Import SciPy before any timer starts, not in the first HiGHS solve.
         scipy_backend.load()
-
-    def _solver_options(self) -> Dict[str, object]:
-        options: Dict[str, object] = {"time_limit": self.time_limit}
-        if not self.presolve:
-            # The faithful pre-refactor path: no root presolve, no
-            # node-level bound propagation, no incumbent-cutoff filtering.
-            options["presolve"] = False
-            options["node_presolve"] = False
-            options["objective_cutoff"] = False
-        return options
 
     # ------------------------------------------------------------------ api
     def run_point(self, point: DesignPoint) -> ExperimentRow:
         """Measure one design point."""
         design, board = point.build(seed=self.seed, occupancy=self.occupancy)
-        solver_options = self._solver_options()
+        solver_options = {"time_limit": self.time_limit}
 
         # Global/detailed approach (pre-processing is included in the timing,
         # as the paper notes it is for its own measurements).
@@ -158,12 +142,11 @@ class Table3Harness:
             solver=self.solver,
             solver_options=solver_options,
             warm_start=False,
-            warm_retries=self.warm_retries,
         )
         start = time.perf_counter()
         result = mapper.map(design)
         global_seconds = time.perf_counter() - start
-        global_artifacts = mapper.global_mapper.build_model(design)
+        global_artifacts = mapper.global_mapper.full_model_artifacts(design)
         global_model_size = {
             "variables": global_artifacts.model.num_variables,
             "constraints": global_artifacts.model.num_constraints,
@@ -243,12 +226,11 @@ class Table3Harness:
                 design=design,
                 weights=self.weights,
                 solver=self.solver,
-                solver_options=self._solver_options(),
+                solver_options={"time_limit": self.time_limit},
                 timeout=self.time_limit,
                 # run_point measures with warm_start=False; the parallel
                 # path must solve the exact same configuration.
                 warm_start=False,
-                warm_retries=self.warm_retries,
             )
             batch.append(MappingJob(
                 mode=MODE_PIPELINE, label=f"global/detailed {point.label()}", **common
@@ -337,15 +319,12 @@ class Table3Harness:
             "name": "table3",
             "jobs": self.jobs,
             "solver": self.solver,
-            "warm_retries": self.warm_retries,
-            "presolve": self.presolve,
             "num_points": len(rows),
             "wall_seconds": elapsed,
             "serial_seconds": serial_seconds,
             "speedup_vs_serial": (serial_seconds / elapsed) if elapsed > 0 else None,
             # Totals of the global/detailed flow's solver work, so two
-            # artifacts (e.g. warm+presolve vs the legacy cold path) can be
-            # diffed by scripts/bench_compare.py.
+            # artifacts can be diffed by scripts/bench_compare.py.
             **total_keys(sum_counters(row.global_solve_stats for row in rows)),
             "results": [
                 {

@@ -5,20 +5,14 @@ never under pressure: the arrival rate adapts to the service's speed, so
 queueing collapse is invisible.  This harness is **open-loop** — the
 arrival schedule is precomputed from a seeded RNG and arrivals fire at
 their scheduled time regardless of how the previous jobs are doing —
-which is how serving systems are actually benchmarked (and how the
-router's admission control, backpressure and shedding are actually
-exercised).
+which is how serving systems are actually benchmarked.
 
 The schedule is deterministic in ``seed``: arrival times, the
 template drawn per arrival, the duplicate re-submissions and the
-fast/low-priority mix are all derived from one ``random.Random``.  What
-the *server* does with that traffic (latencies, which shard answered) is
-measured, not controlled.
-
-Backpressure protocol: a 429 with code ``RETRY_AFTER`` is retried after
-the server-suggested backoff (counted, bounded); a 503 with code ``SHED``
-is final — the job is recorded as shed, which is the contract
-low-priority traffic signed up for.
+fast-mode mix are all derived from one ``random.Random``.  What the
+*server* does with that traffic (latencies, dedupe, cache hits) is
+measured, not controlled.  A submission the server refuses is recorded
+as an error.
 """
 
 from __future__ import annotations
@@ -56,8 +50,8 @@ class ScheduledArrival:
 @dataclass
 class LoadgenConfig:
     url: str
-    #: Base submissions the schedule draws from (mode/priority are
-    #: overridden per arrival according to the mix ratios).
+    #: Base submissions the schedule draws from (the mode is overridden
+    #: per arrival according to ``fast_ratio``).
     templates: List[JobSubmission]
     duration_s: float = 10.0
     #: Mean arrival rate in jobs/second.
@@ -72,12 +66,7 @@ class LoadgenConfig:
     duplicate_ratio: float = 0.5
     #: Fraction of (fresh) arrivals submitted as fast-mode jobs.
     fast_ratio: float = 0.0
-    #: Fraction of arrivals submitted at ``low_priority`` (sheddable).
-    low_priority_ratio: float = 0.0
-    low_priority: int = -1
     seed: int = 0
-    #: 429 retry budget per job.
-    max_retries: int = 5
     #: Seconds to wait for one job to reach a terminal state.
     wait_timeout: float = 120.0
     #: Completion-poller thread pool size.  Open-loop submission needs
@@ -140,11 +129,6 @@ def build_schedule(config: LoadgenConfig) -> List[ScheduledArrival]:
         changes: Dict[str, Any] = {"label": f"lg-{index:04d}"}
         if config.fast_ratio > 0 and rng.random() < config.fast_ratio:
             changes["mode"] = "fast"
-        if (
-            config.low_priority_ratio > 0
-            and rng.random() < config.low_priority_ratio
-        ):
-            changes["priority"] = config.low_priority
         schedule.append(
             ScheduledArrival(
                 index=index, at=at, submission=replace(submission, **changes)
@@ -159,9 +143,6 @@ class _Tally:
 
     lock: threading.Lock = field(default_factory=threading.Lock)
     jobs: List[Dict[str, Any]] = field(default_factory=list)
-    retries_429: int = 0
-    shed: int = 0
-    rejected: int = 0
     errors: int = 0
 
 
@@ -180,37 +161,9 @@ def _run_one(
         "duplicate_of": arrival.duplicate_of,
         "outcome": "",
     }
-    status = None
-    for attempt in range(config.max_retries + 1):
-        try:
-            status = client.submit(arrival.submission)
-            break
-        except ServeClientError as exc:
-            if exc.status == 503 and exc.code == "SHED":
-                record["outcome"] = "shed"
-                with tally.lock:
-                    tally.shed += 1
-                    tally.jobs.append(record)
-                return
-            if exc.status == 429 and attempt < config.max_retries:
-                with tally.lock:
-                    tally.retries_429 += 1
-                backoff = exc.retry_after_ms
-                time.sleep((backoff or 100.0) / 1000.0)
-                continue
-            record["outcome"] = (
-                "rejected" if exc.status == 429 else "error"
-            )
-            record["error"] = str(exc)
-            with tally.lock:
-                if exc.status == 429:
-                    tally.rejected += 1
-                else:
-                    tally.errors += 1
-                tally.jobs.append(record)
-            return
     try:
-        if status is not None and not status.terminal:
+        status = client.submit(arrival.submission)
+        if not status.terminal:
             status = client.wait(
                 status.job_id,
                 timeout=config.wait_timeout,
@@ -229,7 +182,6 @@ def _run_one(
         (time.monotonic() - scheduled_monotonic) * 1000.0
     )
     record["server_latency_ms"] = status.latency_ms
-    record["replica"] = status.replica
     record["cache_key"] = status.cache_key
     record["cache_hit"] = status.cache_hit
     record["deduped"] = status.deduped
@@ -242,10 +194,9 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
     """Fire one open-loop traffic window; returns the measurement report.
 
     The report separates what was *scheduled* (deterministic) from what
-    was *observed* (latencies, shard placement, dedupe/shed/retry
-    counts).  ``fingerprint_conflicts`` counts cache keys observed with
-    two different fingerprints — always zero for a correct serve tier,
-    across any number of replicas.
+    was *observed* (latencies, dedupe and cache-hit counts).
+    ``fingerprint_conflicts`` counts cache keys observed with two
+    different fingerprints — always zero for a correct serve tier.
     """
     schedule = build_schedule(config)
     client = ServeClient(config.url, timeout=config.connect_timeout)
@@ -265,12 +216,9 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
 
     jobs = sorted(tally.jobs, key=lambda r: r["index"])
     done = [r for r in jobs if r["outcome"] == "done"]
-    by_replica: Dict[str, int] = {}
     fingerprints: Dict[str, str] = {}
     conflicts = 0
     for record in done:
-        name = record.get("replica") or "-"
-        by_replica[name] = by_replica.get(name, 0) + 1
         key, fingerprint = record.get("cache_key"), record.get("fingerprint")
         if key and fingerprint:
             known = fingerprints.get(key)
@@ -292,9 +240,6 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
         ),
         "completed": len(done),
         "ok": sum(1 for r in done if r.get("result_status") == "ok"),
-        "shed": tally.shed,
-        "retries_429": tally.retries_429,
-        "rejected_after_retries": tally.rejected,
         "errors": tally.errors,
         "deduped": sum(1 for r in done if r.get("deduped")),
         "cache_hits": sum(1 for r in done if r.get("cache_hit")),
@@ -308,7 +253,6 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, Any]:
                 if r.get("server_latency_ms") is not None
             ]
         ),
-        "by_replica": by_replica,
         "unique_cache_keys": len(fingerprints),
         "fingerprint_conflicts": conflicts,
         "fingerprints": fingerprints,

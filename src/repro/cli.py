@@ -478,10 +478,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise CliError("--cache-entries must be at least 1")
     if args.memory_entries < 1:
         raise CliError("--memory-entries must be at least 1")
-    if args.replicas < 1:
-        raise CliError("--replicas must be at least 1")
-    if args.replicas > 1:
-        return _serve_replicated(args)
     # Import SciPy before the banner, so that no request pays for it.
     scipy_backend.load()
     service = MappingService(
@@ -493,7 +489,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retries=args.retries,
         default_timeout=args.time_limit,
         mp_context=args.mp_context,
-        instance_name=args.instance_name,
     )
     server = MappingServer(service, host=args.host, port=args.port)
 
@@ -529,74 +524,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         path = write_bench_artifact("serve", service.artifact(), args.artifact_dir)
         print(f"[serve artifact written to {path}]")
-    return EXIT_OK
-
-
-def _serve_replicated(args: argparse.Namespace) -> int:
-    """``repro serve --replicas N``: a router over N replica processes."""
-    import asyncio
-    import signal
-    import tempfile
-
-    from .serve.router import RouterServer, RouterService
-    from .serve.service import ReplicaSupervisor
-
-    cache_dir = args.cache_dir
-    if not cache_dir:
-        # The shared cache directory is what stitches the shards into one
-        # key space (cross-shard dedupe), so a fleet always has one.
-        cache_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
-        print(f"[using shared cache directory {cache_dir}]", flush=True)
-    supervisor = ReplicaSupervisor(
-        count=args.replicas,
-        cache_dir=cache_dir,
-        jobs=_resolve_jobs(args.jobs),
-        max_batch=args.max_batch,
-        time_limit=args.time_limit,
-        host=args.host,
-    )
-
-    async def _run() -> None:
-        endpoints = await supervisor.start()
-        for name, url in endpoints:
-            print(f"[{name} up at {url}]", flush=True)
-        router = RouterService(
-            endpoints,
-            max_inflight=args.max_inflight,
-            shed_priority=args.shed_priority,
-            supervisor=supervisor,
-        )
-        server = RouterServer(router, host=args.host, port=args.port)
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, server.request_shutdown)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        try:
-            await server.start()
-        except OSError:
-            await supervisor.stop()
-            raise
-        print(
-            f"serving mapping jobs on {server.url} "
-            f"({args.replicas} replicas, max_inflight={args.max_inflight})",
-            flush=True,
-        )
-        await server.serve_forever()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive teardown
-        pass
-    except RuntimeError as exc:
-        # A replica that never reported its serving URL is an
-        # environment/usage problem, not a traceback.
-        raise CliError(str(exc)) from exc
-    except OSError as exc:
-        raise CliError(
-            f"cannot serve on {args.host}:{args.port}: {exc}"
-        ) from exc
     return EXIT_OK
 
 
@@ -743,7 +670,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         arrival=args.arrival,
         duplicate_ratio=args.duplicate_ratio,
         fast_ratio=args.fast_ratio,
-        low_priority_ratio=args.low_priority_ratio,
         seed=args.seed,
     )
     try:
@@ -771,8 +697,6 @@ def _cmd_table3(args: argparse.Namespace) -> int:
         run_complete=not args.skip_complete,
         jobs=_resolve_jobs(args.jobs),
         artifact_dir=args.artifact_dir,
-        warm_retries=not args.cold_retries,
-        presolve=not args.no_presolve,
     )
     print(
         f"Running {len(points)} design points with backend "
@@ -976,19 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker start method (default: spawn when --jobs > 1)")
     serve.add_argument("--artifact-dir",
                        help="write a BENCH_serve.json artifact on shutdown")
-    serve.add_argument("--replicas", type=int, default=1,
-                       help="boot N replica processes behind a sharded "
-                            "router front end (default: 1, no router)")
-    serve.add_argument("--max-inflight", type=int, default=16,
-                       help="router-side in-flight budget per replica "
-                            "before backpressure kicks in")
-    serve.add_argument("--shed-priority", type=int, default=0,
-                       help="under overload, shed (503) submissions whose "
-                            "priority is below this instead of asking them "
-                            "to retry (429)")
-    serve.add_argument("--instance-name", default="",
-                       help="name of this replica in a sharded fleet "
-                            "(reported in /healthz)")
     serve.set_defaults(func=_cmd_serve)
 
     loadgen = sub.add_parser(
@@ -996,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-loop traffic generator against a running 'repro serve'",
     )
     loadgen.add_argument("--url", default="http://127.0.0.1:8347",
-                         help="server URL (single service or router)")
+                         help="base URL of the 'repro serve' process")
     loadgen.add_argument("--board", default="hierarchical",
                          help="board for the generated jobs (name or JSON file)")
     loadgen.add_argument("--design", action="append", default=[],
@@ -1015,9 +926,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--fast-ratio", type=float, default=0.0,
                          help="fraction of arrivals submitted as fast-mode "
                               "jobs")
-    loadgen.add_argument("--low-priority-ratio", type=float, default=0.0,
-                         help="fraction of arrivals submitted at priority -1 "
-                              "(sheddable under overload)")
     loadgen.add_argument("--weights", choices=sorted(_WEIGHT_PRESETS),
                          default="balanced", help="objective weighting preset")
     loadgen.add_argument("--solver", default="auto",
@@ -1096,11 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the sweep")
     table3.add_argument("--artifact-dir",
                         help="write a BENCH_table3.json artifact into this directory")
-    table3.add_argument("--cold-retries", action="store_true",
-                        help="solve every pipeline retry cold (legacy path, "
-                             "for benchmark comparison)")
-    table3.add_argument("--no-presolve", action="store_true",
-                        help="disable the ILP presolve pass (legacy path)")
     table3.set_defaults(func=_cmd_table3)
 
     return parser

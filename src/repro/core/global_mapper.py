@@ -361,6 +361,16 @@ class GlobalMapper:
             )
         return skeleton.full_artifacts
 
+    def model_if_built(self, design: Design) -> Optional[GlobalModelArtifacts]:
+        """The memoized model of ``design`` if a solve built it, else ``None``.
+
+        Never builds: a fast-lane answer leaves no model behind.
+        """
+        entry = self._skeletons.get(id(design))
+        if entry is None or entry.design is not design:
+            return None
+        return entry.full_artifacts
+
     def _fixed_indices(
         self,
         artifacts: GlobalModelArtifacts,

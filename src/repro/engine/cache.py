@@ -127,10 +127,10 @@ class ResultCache:
         #: bounded-cache hot path does not scan the directory on every
         #: put; ``trim`` re-derives the exact number when it runs.  The
         #: counter only sees *this* process's writes, so with several
-        #: writers sharing the directory (serve replicas) it drifts low;
-        #: every :data:`_RESYNC_PUTS` puts it is re-derived from the
-        #: directory so a bounded cache still trims under multi-process
-        #: load.
+        #: writers sharing the directory (``repro serve`` beside ``repro
+        #: batch`` runs) it drifts low; every :data:`_RESYNC_PUTS` puts it
+        #: is re-derived from the directory so a bounded cache still trims
+        #: under multi-process load.
         self._approx_entries: Optional[int] = None
         self._puts_since_resync = 0
 
@@ -248,7 +248,7 @@ class ResultCache:
         """Delete every entry; returns the number of files removed.
 
         Entries unlinked concurrently by another process sharing the
-        directory (a sibling replica's ``trim``, a parallel ``clear``)
+        directory (another process's ``trim``, a parallel ``clear``)
         are skipped, not errors: the post-condition — no entries left —
         holds either way.
         """

@@ -159,17 +159,18 @@ def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
                 gap_limit=payload.get("gap_limit"),
             )
             result = mapper.map(design, context=context)
-            # An exact solve memoized the full model, so its size costs no
-            # rebuild; a fast-lane answer builds it here, once.
-            artifacts = mapper.global_mapper.full_model_artifacts(design)
             document["objective"] = result.global_mapping.objective
             document["solver_status"] = result.global_mapping.solver_status
             document["assignment"] = dict(result.global_mapping.assignment)
             document["result"] = mapping_result_to_dict(result)
-            document["model_size"] = {
-                "variables": artifacts.model.num_variables,
-                "constraints": artifacts.model.num_constraints,
-            }
+            # A solve memoized the model it ran on; a fast-lane answer
+            # built none and reports no size.
+            artifacts = mapper.global_mapper.model_if_built(design)
+            if artifacts is not None:
+                document["model_size"] = {
+                    "variables": artifacts.model.num_variables,
+                    "constraints": artifacts.model.num_constraints,
+                }
             document["solve_stats"] = dict(result.solve_stats)
     except MappingError as exc:
         document["status"] = STATUS_FAILED

@@ -1,7 +1,7 @@
 """The versioned wire API (v1) of the mapping serve tier.
 
-Everything that crosses the wire between clients, the router and the
-replicas speaks one schema: each document is a JSON object carrying its
+Everything that crosses the wire between clients and ``repro serve``
+speaks one schema: each document is a JSON object carrying its
 ``kind`` and an explicit wire version ``"v": 1``.  The three document
 types are typed dataclasses with a single serialisation pair each —
 ``to_wire()`` produces the JSON-compatible dict, ``from_wire()`` rebuilds
@@ -10,8 +10,7 @@ the object:
 * :class:`JobSubmission` — one mapping request (board, design, solver
   configuration, serving metadata),
 * :class:`JobStatus` — where a served job currently is,
-* :class:`HealthReport` — the ``/healthz`` document of a service or
-  router.
+* :class:`HealthReport` — the ``/healthz`` document of the service.
 
 Versioning rules (see CONTRIBUTING, "Evolving the wire schema"):
 
@@ -32,7 +31,7 @@ locally-run one compare field by field — most importantly by fingerprint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from .serialize import (
     SerializationError,
@@ -179,8 +178,6 @@ class JobSubmission:
     #: Per-job wall-clock budget in seconds (tightens the solver limit).
     timeout: Optional[float] = None
     #: Queue priority; higher runs earlier.  Ties keep submission order.
-    #: Under router overload, jobs below the shed threshold are the first
-    #: to be refused.
     priority: int = 0
     #: Milliseconds the job may wait in the queue before the service gives
     #: up and reports it ``expired`` instead of solving it late.
@@ -303,9 +300,6 @@ class JobStatus:
     #: versus the solver's lower bound); ``None`` for exact jobs.
     gap: Optional[float] = None
     fingerprint: Optional[str] = None
-    #: Name of the replica that served the job (router deployments only;
-    #: empty for a single-process service).
-    replica: str = ""
     error: str = ""
 
     @property
@@ -339,7 +333,6 @@ class JobStatus:
             "objective": self.objective,
             "gap": self.gap,
             "fingerprint": self.fingerprint,
-            "replica": self.replica,
             "error": self.error,
             "latency_ms": self.latency_ms,
         }
@@ -370,44 +363,39 @@ class JobStatus:
             objective=None if objective is None else float(objective),
             gap=None if gap is None else float(gap),
             fingerprint=data.get("fingerprint"),
-            replica=str(data.get("replica", "")),
             error=str(data.get("error", "")),
         )
 
 
 @dataclass
 class HealthReport:
-    """The ``/healthz`` document of one service replica or of the router.
+    """The ``/healthz`` document of the mapping service.
 
-    One typed shape for both roles: a replica reports its queue/engine
-    state, the router reports ring membership plus per-replica summaries
-    under :attr:`replicas` and the *aggregate* counters of the fleet.
-    Role-specific detail that does not need schema stability lives in
+    The service reports its queue/engine state, counters and result-store
+    statistics.  Detail that does not need schema stability lives in
     :attr:`details`; unknown top-level fields a newer peer might add are
     preserved in :attr:`extra` (forward compatibility).
     """
 
     status: str = "ok"
-    #: ``"service"`` (one replica / single-process server) or ``"router"``.
+    #: Always ``"service"`` from this library; kept on the wire so a
+    #: reader can tell what kind of process answered.
     role: str = "service"
     uptime_seconds: float = 0.0
     queue_depth: int = 0
     inflight: int = 0
     workers: int = 0
     counters: Dict[str, int] = field(default_factory=dict)
-    #: Result-store statistics (tiers, hits) of a service; ``None`` for a
-    #: router.
+    #: Result-store statistics (tiers, hits).
     store: Optional[Dict[str, Any]] = None
-    #: Role-specific diagnostics (batching config, ring layout, records).
+    #: Diagnostics (batching config, latency percentiles, records).
     details: Dict[str, Any] = field(default_factory=dict)
-    #: Per-replica summaries, router role only.
-    replicas: Optional[List[Dict[str, Any]]] = None
     #: Unknown top-level wire fields, preserved verbatim.
     extra: Dict[str, Any] = field(default_factory=dict)
 
     _KNOWN = frozenset({
         "kind", "v", "status", "role", "uptime_seconds", "queue_depth",
-        "inflight", "workers", "counters", "store", "details", "replicas",
+        "inflight", "workers", "counters", "store", "details",
     })
 
     def to_wire(self) -> Dict[str, Any]:
@@ -425,8 +413,6 @@ class HealthReport:
             "store": self.store,
             "details": dict(self.details),
         }
-        if self.replicas is not None:
-            document["replicas"] = [dict(entry) for entry in self.replicas]
         document.update(self.extra)
         return document
 
@@ -434,9 +420,6 @@ class HealthReport:
     def from_wire(cls, data: Any) -> "HealthReport":
         """Rebuild a report from its wire document (unknown fields kept)."""
         _check_wire(data, "health_report")
-        replicas = data.get("replicas")
-        if replicas is not None and not isinstance(replicas, Sequence):
-            raise SerializationError("health_report: replicas must be a list")
         store = data.get("store")
         if store is not None and not isinstance(store, Mapping):
             raise SerializationError("health_report: store must be an object")
@@ -456,8 +439,5 @@ class HealthReport:
             counters=dict(counters),
             store=None if store is None else dict(store),
             details=dict(details),
-            replicas=(
-                None if replicas is None else [dict(entry) for entry in replicas]
-            ),
             extra={k: v for k, v in data.items() if k not in cls._KNOWN},
         )

@@ -9,20 +9,16 @@ back with the same fingerprints the CLI computes — while duplicate
 requests (in flight or repeated) are answered from one solve via
 canonical-hash dedupe and a two-tier result store.
 
-``repro serve --replicas N`` scales the same service out: a
-:class:`~repro.serve.service.ReplicaSupervisor` boots N replica
-processes over one shared on-disk cache, and a
-:class:`~repro.serve.router.RouterService` front end consistent-hashes
-submissions across them with admission control, backpressure, load
-shedding and automatic re-hash when a replica dies.
+One process serves everything: ``repro serve --jobs N`` runs the solves
+on N engine worker processes, and ``--cache-dir`` shares the on-disk
+result tier with ``repro batch``.
 """
 
 from .client import ServeClient, ServeClientError
 from .protocol import HttpError, HttpRequest, ProtocolError
 from .queue import JobQueue, QueuedTicket
-from .router import HashRing, RouterServer, RouterService, routing_key
 from .server import MappingServer
-from .service import MappingService, ReplicaSupervisor, ServeError
+from .service import MappingService, ServeError
 from .store import ResultStore
 
 __all__ = [
@@ -30,15 +26,10 @@ __all__ = [
     "QueuedTicket",
     "ResultStore",
     "MappingService",
-    "ReplicaSupervisor",
     "ServeError",
     "MappingServer",
     "ServeClient",
     "ServeClientError",
-    "HashRing",
-    "RouterService",
-    "RouterServer",
-    "routing_key",
     "HttpError",
     "HttpRequest",
     "ProtocolError",

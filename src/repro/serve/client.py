@@ -4,12 +4,8 @@ Pure stdlib (:mod:`http.client`): one connection per request, JSON in
 and out, mirroring the server's one-shot connection model.  All traffic
 speaks the v1 wire schema (:mod:`repro.io.serve`); transport problems
 and non-2xx answers re-raise as :class:`ServeClientError` carrying the
-server's structured error — message, machine-readable ``code``, the
-full error ``payload`` and, for 429 backpressure answers, the suggested
-``retry_after_ms`` — so callers can react without parsing prose.
-
-The same client talks to a single ``repro serve`` process or to the
-sharded router front end; the wire API is identical by construction.
+server's structured error — message, machine-readable ``code`` and the
+full error ``payload`` — so callers can react without parsing prose.
 """
 
 from __future__ import annotations
@@ -38,25 +34,14 @@ class ServeClientError(Exception):
         super().__init__(message)
         self.status = status
         #: Machine-readable reason (``"UNSUPPORTED_VERSION"``,
-        #: ``"RETRY_AFTER"``, ``"SHED"``, ...); empty for transport errors.
+        #: ``"NOT_DONE"``, ...); empty for transport errors.
         self.code = code
         #: The server's full structured error document, when one was sent.
         self.payload = payload or {}
 
-    @property
-    def retry_after_ms(self) -> Optional[float]:
-        """Server-suggested backoff of a 429 answer; ``None`` otherwise."""
-        value = self.payload.get("retry_after_ms")
-        return None if value is None else float(value)
-
-    @property
-    def overloaded(self) -> bool:
-        """True when the request was refused by admission control."""
-        return self.status in (429, 503)
-
 
 class ServeClient:
-    """Talks to one serve front end (single service or router)."""
+    """Talks to one ``repro serve`` process."""
 
     def __init__(self, url: str, timeout: float = 30.0) -> None:
         split = urlsplit(url if "//" in url else f"http://{url}")

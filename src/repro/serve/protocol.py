@@ -43,17 +43,14 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
-    429: "Too Many Requests",
     500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
 }
 
 
 class HttpError(Exception):
     """A request the serve tier refuses, with the structured error to send.
 
-    The front ends answer it with :func:`error_response` built from
+    The server answers it with :func:`error_response` built from
     ``status``, the message, ``code`` and the ``extra`` fields.
     """
 
@@ -196,9 +193,9 @@ def error_response(
     """A structured, versioned error body shared by every serve endpoint.
 
     ``code`` is the machine-readable reason (``"UNSUPPORTED_VERSION"``,
-    ``"RETRY_AFTER"``, ``"SHED"``, ...); extra keyword fields — for
-    example ``supported_versions`` or ``retry_after_ms`` — ride along so
-    a client can act on the error without parsing prose.
+    ``"NOT_DONE"``, ...); extra keyword fields — for example
+    ``supported_versions`` or the conflicting ``job`` — ride along so a
+    client can act on the error without parsing prose.
     """
     document: Dict[str, Any] = {
         "kind": "error",

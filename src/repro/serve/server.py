@@ -20,28 +20,20 @@ ids/paths, 405 for bad methods, 409 for state conflicts and 500 for bugs.
 Every refusal is raised as a :class:`~repro.serve.protocol.HttpError`
 and turned into its response in one place.
 
-:class:`BaseHttpServer` holds the transport plumbing (bind, accept,
-request framing, error normalisation) and the one route table, which
-calls an async job API: ``submit``, ``submit_many``, ``status``,
-``result``, ``cancel`` and ``health_report``.  :class:`MappingServer`
-serves it from one in-process :class:`MappingService`; the sharded
-router (:mod:`repro.serve.router`) serves it from its fleet, so both
-tiers speak byte-identical HTTP.
+:class:`MappingServer` owns the transport plumbing (bind, accept,
+request framing, error normalisation) and the route table, which calls
+the synchronous job API of one in-process :class:`MappingService`
+directly: ``submit``, ``submit_many``, ``status``, ``result``,
+``cancel`` and ``health_report``.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..io.serialize import SerializationError
-from ..io.serve import (
-    WIRE_VERSION,
-    HealthReport,
-    JobStatus,
-    JobSubmission,
-    WireVersionError,
-)
+from ..io.serve import WIRE_VERSION, JobStatus, JobSubmission, WireVersionError
 from .protocol import (
     HttpError,
     HttpRequest,
@@ -53,27 +45,25 @@ from .protocol import (
 )
 from .service import MappingService
 
-__all__ = ["BaseHttpServer", "MappingServer"]
+__all__ = ["MappingServer"]
 
 
-class BaseHttpServer:
-    """Shared asyncio TCP/HTTP shell of the serve tier's front ends.
+class MappingServer:
+    """Binds a :class:`MappingService` to a TCP port.
 
-    ``jobs`` is the async job API the routes call (and that the server
-    starts and stops with itself); the base class owns connection
-    handling, request framing with a stall timeout, the route table and
-    the mapping of exception classes to structured HTTP errors — the
-    part that must behave identically on a replica and on the router.
+    The server starts and stops the service with itself; it owns
+    connection handling, request framing with a stall timeout, the route
+    table and the mapping of exception classes to structured HTTP errors.
     """
 
     def __init__(
         self,
-        jobs: Any,
+        service: MappingService,
         host: str = "127.0.0.1",
         port: int = 8347,
         request_timeout: float = 30.0,
     ) -> None:
-        self.jobs = jobs
+        self.service = service
         self.host = host
         self.port = port
         #: Seconds a connection may take to deliver its full request.  A
@@ -86,15 +76,15 @@ class BaseHttpServer:
 
     # ------------------------------------------------------------- lifecycle
     async def start(self) -> None:
-        """Start the job API and begin accepting connections."""
-        await self.jobs.start()
+        """Start the service and begin accepting connections."""
+        await self.service.start()
         try:
             self._server = await asyncio.start_server(
                 self._handle_connection, host=self.host, port=self.port
             )
         except OSError:
             # Bind failed: don't leak what we just started.
-            await self.jobs.stop()
+            await self.service.stop()
             raise
         # Port 0 binds an ephemeral port; reflect the real one.
         sockets = self._server.sockets or []
@@ -115,7 +105,7 @@ class BaseHttpServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self.jobs.stop()
+        await self.service.stop()
 
     def request_shutdown(self) -> None:
         self._shutdown.set()
@@ -132,7 +122,7 @@ class BaseHttpServer:
                 read_request(reader), timeout=self.request_timeout
             )
             if request is not None:
-                response = await self._route(request)
+                response = self._route(request)
             # request is None: the peer connected and left without a
             # request (port scan, TCP health probe) — answer nothing.
         except asyncio.TimeoutError:
@@ -167,13 +157,13 @@ class BaseHttpServer:
                 pass
 
     # ---------------------------------------------------------------- routes
-    async def _route(self, request: HttpRequest) -> Tuple[int, bytes]:
+    def _route(self, request: HttpRequest) -> Tuple[int, bytes]:
         path, method = request.path.rstrip("/") or "/", request.method
 
         if path == "/healthz":
             if method != "GET":
                 raise HttpError(405, "healthz supports GET only")
-            report = await self.jobs.health_report()
+            report = self.service.health_report()
             return json_response(200, report.to_wire())
 
         if path == "/v1/jobs":
@@ -186,11 +176,11 @@ class BaseHttpServer:
                 # earlier entries enqueued as orphans the client has no id
                 # for.
                 submissions = [JobSubmission.from_wire(entry) for entry in body]
-                statuses = await self.jobs.submit_many(submissions)
+                statuses = self.service.submit_many(submissions)
                 return json_response(
                     202, [status.to_wire() for status in statuses]
                 )
-            status = await self.jobs.submit(JobSubmission.from_wire(body))
+            status = self.service.submit(JobSubmission.from_wire(body))
             return json_response(202, status.to_wire())
 
         if path == "/v1/shutdown":
@@ -209,12 +199,12 @@ class BaseHttpServer:
         if job_id.endswith("/result"):
             if method != "GET":
                 raise HttpError(405, "fetch results with GET")
-            return await self._result(job_id[: -len("/result")])
+            return self._result(job_id[: -len("/result")])
         if method == "GET":
-            status = _known(job_id, await self.jobs.status(job_id))
+            status = _known(job_id, self.service.status(job_id))
             return json_response(200, status.to_wire())
         if method == "DELETE":
-            status = _known(job_id, await self.jobs.cancel(job_id))
+            status = _known(job_id, self.service.cancel(job_id))
             if status.state != "cancelled":
                 raise HttpError(
                     409,
@@ -226,8 +216,8 @@ class BaseHttpServer:
             return json_response(200, status.to_wire())
         raise HttpError(405, "job endpoints support GET and DELETE")
 
-    async def _result(self, job_id: str) -> Tuple[int, bytes]:
-        status = _known(job_id, await self.jobs.status(job_id))
+    def _result(self, job_id: str) -> Tuple[int, bytes]:
+        status = _known(job_id, self.service.status(job_id))
         if status.state != "done":
             raise HttpError(
                 409,
@@ -235,7 +225,7 @@ class BaseHttpServer:
                 code="NOT_DONE",
                 job=status.to_wire(),
             )
-        document = await self.jobs.result(job_id)
+        document = self.service.result(job_id)
         if document is None:
             raise HttpError(
                 404, f"result of job {job_id!r} is no longer retained"
@@ -247,59 +237,7 @@ class BaseHttpServer:
 
 
 def _known(job_id: str, status: Optional[JobStatus]) -> JobStatus:
-    """``status``, or the 404 of a job id the job API does not know."""
+    """``status``, or the 404 of a job id the service does not know."""
     if status is None:
         raise HttpError(404, f"unknown job {job_id!r}")
     return status
-
-
-class _ServiceJobs:
-    """The async job API of the routes over one in-process service."""
-
-    def __init__(self, service: MappingService) -> None:
-        self.service = service
-
-    async def start(self) -> None:
-        await self.service.start()
-
-    async def stop(self) -> None:
-        await self.service.stop()
-
-    async def submit(self, submission: JobSubmission) -> JobStatus:
-        return self.service.submit(submission)
-
-    async def submit_many(
-        self, submissions: List[JobSubmission]
-    ) -> List[JobStatus]:
-        return self.service.submit_many(submissions)
-
-    async def status(self, job_id: str) -> Optional[JobStatus]:
-        return self.service.status(job_id)
-
-    async def result(self, job_id: str) -> Optional[Dict[str, Any]]:
-        return self.service.result(job_id)
-
-    async def cancel(self, job_id: str) -> Optional[JobStatus]:
-        return self.service.cancel(job_id)
-
-    async def health_report(self) -> HealthReport:
-        return self.service.health_report()
-
-
-class MappingServer(BaseHttpServer):
-    """Binds a :class:`MappingService` to a TCP port."""
-
-    def __init__(
-        self,
-        service: MappingService,
-        host: str = "127.0.0.1",
-        port: int = 8347,
-        request_timeout: float = 30.0,
-    ) -> None:
-        super().__init__(
-            _ServiceJobs(service),
-            host=host,
-            port=port,
-            request_timeout=request_timeout,
-        )
-        self.service = service

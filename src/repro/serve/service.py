@@ -62,7 +62,7 @@ from .protocol import HttpError
 from .queue import JobQueue, QueuedTicket
 from .store import TIER_MEMORY, ResultStore
 
-__all__ = ["ServeError", "MappingService", "ReplicaSupervisor"]
+__all__ = ["ServeError", "MappingService"]
 
 #: Finished job records (and their result documents) retained for client
 #: pickup; the oldest fall off first.
@@ -126,7 +126,6 @@ class MappingService:
         default_timeout: Optional[float] = None,
         mp_context: Optional[str] = None,
         engine: Optional[MappingEngine] = None,
-        instance_name: str = "",
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -154,9 +153,6 @@ class MappingService:
         self.max_batch = max_batch
         self.store = ResultStore(memory_entries=memory_entries, disk=engine.cache)
         self.record_entries = max(1, record_entries)
-        #: This replica's name in a sharded deployment (labels the health
-        #: report); empty for a standalone service.
-        self.instance = instance_name
 
         self._ids = itertools.count(1)
         self._records: Dict[str, JobStatus] = {}
@@ -276,8 +272,7 @@ class MappingService:
         if document is not None:
             # Served straight from the store: the job never touches the
             # queue.  A disk-tier hit may be work another process finished
-            # (a batch CLI run, a sibling replica on the shared cache
-            # directory) — that is the cross-shard dedupe path.
+            # (a ``repro batch`` run on the shared cache directory).
             if tier == TIER_MEMORY:
                 self.counters["memory_hits"] += 1
             else:
@@ -406,7 +401,6 @@ class MappingService:
             counters=dict(self.counters),
             store=self.store.stats(),
             details={
-                "instance": self.instance,
                 "mp_context": self.engine.mp_context,
                 "max_batch": self.max_batch,
                 "batches": {
@@ -681,178 +675,3 @@ class MappingService:
             self._records.pop(evicted, None)
             self._documents.pop(evicted, None)
             self._ticket_for.pop(evicted, None)
-
-
-class ReplicaSupervisor:
-    """Spawns and supervises a fleet of ``repro serve`` replica processes.
-
-    Each replica is a full single-process :class:`MappingService` (own
-    engine, own event loop) started as ``python -m repro serve --port 0``
-    with a shared ``--cache-dir`` — the shared key space that makes
-    cross-shard dedupe work.  The supervisor
-    parses each replica's "serving mapping jobs on http://..." banner to
-    learn its ephemeral port, keeps draining its stdout, and can restart
-    a replica the router declared dead.
-    """
-
-    def __init__(
-        self,
-        count: int,
-        cache_dir: str,
-        jobs: int = 1,
-        max_batch: int = 4,
-        time_limit: Optional[float] = None,
-        host: str = "127.0.0.1",
-        boot_timeout: float = 60.0,
-        name_prefix: str = "replica",
-    ) -> None:
-        if count < 1:
-            raise ValueError("a fleet needs at least one replica")
-        self.count = count
-        self.cache_dir = cache_dir
-        self.jobs = jobs
-        self.max_batch = max_batch
-        self.time_limit = time_limit
-        self.host = host
-        self.boot_timeout = boot_timeout
-        self.name_prefix = name_prefix
-        self._procs: Dict[str, asyncio.subprocess.Process] = {}
-        self._urls: Dict[str, str] = {}
-        self._drains: List[asyncio.Task] = []
-
-    def _command(self, name: str) -> List[str]:
-        import sys
-
-        command = [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--host",
-            self.host,
-            "--port",
-            "0",
-            "--cache-dir",
-            str(self.cache_dir),
-            "--jobs",
-            str(self.jobs),
-            "--max-batch",
-            str(self.max_batch),
-            "--instance-name",
-            name,
-        ]
-        if self.time_limit is not None:
-            command += ["--time-limit", str(self.time_limit)]
-        return command
-
-    def _env(self) -> Dict[str, str]:
-        """Child environment with the ``repro`` package importable."""
-        import os
-        import sys
-        from pathlib import Path
-
-        env = dict(os.environ)
-        package_root = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH", "")
-        if package_root not in existing.split(os.pathsep):
-            env["PYTHONPATH"] = (
-                f"{package_root}{os.pathsep}{existing}"
-                if existing
-                else package_root
-            )
-        return env
-
-    async def _spawn(self, name: str) -> str:
-        process = await asyncio.create_subprocess_exec(
-            *self._command(name),
-            stdout=asyncio.subprocess.PIPE,
-            stderr=asyncio.subprocess.DEVNULL,
-            env=self._env(),
-        )
-        url = ""
-        deadline = time.monotonic() + self.boot_timeout
-        assert process.stdout is not None
-        while time.monotonic() < deadline:
-            try:
-                line = await asyncio.wait_for(
-                    process.stdout.readline(),
-                    timeout=max(0.1, deadline - time.monotonic()),
-                )
-            except asyncio.TimeoutError:
-                break
-            if not line:
-                break
-            text = line.decode("utf-8", "replace")
-            marker = "serving mapping jobs on "
-            if marker in text:
-                url = text.split(marker, 1)[1].split()[0]
-                break
-        if not url:
-            try:
-                process.terminate()
-            except ProcessLookupError:
-                pass
-            await process.wait()
-            raise RuntimeError(
-                f"replica {name} did not report a serving URL within "
-                f"{self.boot_timeout:.0f}s"
-            )
-        self._procs[name] = process
-        self._urls[name] = url
-        # Keep the pipe drained so a chatty replica never blocks on a
-        # full stdout buffer.
-        self._drains.append(
-            asyncio.create_task(self._drain(process), name=f"drain-{name}")
-        )
-        return url
-
-    @staticmethod
-    async def _drain(process: asyncio.subprocess.Process) -> None:
-        assert process.stdout is not None
-        try:
-            while await process.stdout.readline():
-                pass
-        except (asyncio.CancelledError, ConnectionError, OSError):
-            pass
-
-    async def start(self) -> List[Any]:
-        """Boot the fleet; returns ``[(name, url), ...]``."""
-        endpoints = []
-        for index in range(1, self.count + 1):
-            name = f"{self.name_prefix}-{index}"
-            endpoints.append((name, await self._spawn(name)))
-        return endpoints
-
-    async def restart(self, name: str) -> str:
-        """Restart a dead replica; returns its new URL ('' on failure)."""
-        process = self._procs.get(name)
-        if process is not None and process.returncode is None:
-            try:
-                process.terminate()
-            except ProcessLookupError:
-                pass
-            await process.wait()
-        try:
-            return await self._spawn(name)
-        except (RuntimeError, OSError):
-            return ""
-
-    async def stop(self) -> None:
-        """Terminate every replica and reap the processes."""
-        for task in self._drains:
-            task.cancel()
-        self._drains.clear()
-        for process in self._procs.values():
-            if process.returncode is None:
-                try:
-                    process.terminate()
-                except ProcessLookupError:
-                    pass
-        for process in self._procs.values():
-            try:
-                await asyncio.wait_for(process.wait(), timeout=10.0)
-            except asyncio.TimeoutError:
-                process.kill()
-                await process.wait()
-        self._procs.clear()
-        self._urls.clear()

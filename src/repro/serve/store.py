@@ -7,11 +7,9 @@ Finished results are kept under their canonical cache key (the engine's
   documents, answering repeat submissions without touching the engine at
   all, and
 * the engine's **on-disk** :class:`~repro.engine.cache.ResultCache` — a
-  restart-surviving tier whose key space is *shared*: with the ``repro
-  batch`` CLI, and across every replica of a sharded deployment pointed
-  at the same cache directory.  A job solved by any of them is a disk
-  hit for all of them, which is what makes cross-shard dedupe work when
-  the router re-hashes traffic onto a different replica.
+  restart-surviving tier whose key space is *shared* with the ``repro
+  batch`` CLI pointed at the same cache directory: a job solved by
+  either is a disk hit for the other.
 
 The store only ever holds *terminal, deterministic* outcomes (``ok`` and
 ``failed``); timeouts and crashes are never memoized.
@@ -57,9 +55,9 @@ class ResultStore:
 
         Memory first; on a memory miss the disk tier is consulted too —
         that is the admission-time path that turns work finished by a
-        *different* process (a batch CLI run, another replica on the same
-        cache directory) into an immediate answer instead of a queued
-        solve.  Disk hits are promoted into memory.
+        *different* process (a ``repro batch`` run on the same cache
+        directory) into an immediate answer instead of a queued solve.
+        Disk hits are promoted into memory.
         """
         document = self._memory.get(key)
         if document is not None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.bench import (
@@ -40,6 +42,29 @@ class TestHarness:
         assert row.complete_objective is None
         assert not row.objectives_match
 
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_run_point_reports_the_size_of_the_model_it_solved(self, index):
+        from repro.core import MemoryMapper
+
+        point = SCALED_DESIGN_POINTS[index]
+        harness = Table3Harness(points=[point], time_limit=60, run_complete=False)
+        row = harness.run_point(point)
+        design, board = point.build(seed=harness.seed, occupancy=harness.occupancy)
+        model = MemoryMapper(board).global_mapper.build_model(design).model
+        assert row.global_model_size == {
+            "variables": model.num_variables,
+            "constraints": model.num_constraints,
+        }
+
+    def test_artifact_records_no_legacy_solver_knobs(self, tmp_path):
+        rows = Table3Harness(points=SCALED_DESIGN_POINTS[:1], time_limit=60,
+                             run_complete=False, artifact_dir=str(tmp_path)).run()
+        [path] = tmp_path.glob("BENCH_table3*.json")
+        document = json.loads(path.read_text(encoding="utf-8"))
+        assert "warm_retries" not in document and "presolve" not in document
+        assert document["num_points"] == 1
+        assert document["results"][0]["global_model_size"] == rows[0].global_model_size
+
     def test_run_table3_over_two_points(self):
         rows = Table3Harness(points=SCALED_DESIGN_POINTS[:2], time_limit=60).run()
         assert len(rows) == 2
@@ -76,3 +101,13 @@ class TestParallelHarness:
                              jobs=2, run_complete=False).run()
         assert all(r.complete_status == "skipped" for r in rows)
         assert all(r.global_status == "optimal" for r in rows)
+
+    def test_parallel_run_reports_the_serial_global_model_sizes(self):
+        points = SCALED_DESIGN_POINTS[:2]
+        serial = Table3Harness(points=points, time_limit=60,
+                               run_complete=False).run()
+        parallel = Table3Harness(points=points, time_limit=60, jobs=2,
+                                 run_complete=False).run()
+        assert [r.global_model_size for r in parallel] == \
+            [r.global_model_size for r in serial]
+        assert all(r.global_model_size["variables"] > 0 for r in serial)

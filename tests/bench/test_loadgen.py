@@ -1,13 +1,19 @@
-"""Unit tests of the open-loop traffic schedule (no server needed)."""
+"""Tests of the open-loop traffic schedule and of runs against one server."""
 
 from __future__ import annotations
+
+import asyncio
+import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.arch import virtex_board
 from repro.design import fir_filter_design, matrix_multiply_design
-from repro.bench.loadgen import LoadgenConfig, build_schedule
+from repro.bench.loadgen import LoadgenConfig, build_schedule, run_loadgen
+from repro.engine import MappingEngine, MappingJob
 from repro.io.serve import JobSubmission
+from repro.serve import MappingServer, MappingService, ServeClient
 
 
 def templates():
@@ -81,16 +87,11 @@ class TestTrafficMix:
         labels = [a.submission.label for a in schedule]
         assert len(set(labels)) == len(labels)  # per-arrival labels
 
-    def test_fast_and_low_priority_mixes_apply(self):
-        schedule = build_schedule(config(
-            duplicate_ratio=0.0, fast_ratio=0.4,
-            low_priority_ratio=0.4, low_priority=-2,
-        ))
+    def test_fast_mix_applies(self):
+        schedule = build_schedule(config(duplicate_ratio=0.0, fast_ratio=0.4))
         fast = [a for a in schedule if a.submission.mode == "fast"]
-        low = [a for a in schedule if a.submission.priority == -2]
-        assert fast and low
+        assert fast
         assert len(fast) < len(schedule)
-        assert len(low) < len(schedule)
 
     def test_mix_ratios_default_off(self):
         schedule = build_schedule(config(duplicate_ratio=0.0))
@@ -118,3 +119,83 @@ class TestValidation:
     def test_unknown_arrival_process_is_rejected(self):
         with pytest.raises(ValueError):
             build_schedule(config(arrival="fractal"))
+
+
+@pytest.fixture
+def server_url():
+    """One ``repro serve``-style server on an ephemeral port."""
+    server = MappingServer(MappingService(jobs=1, max_batch=4), port=0)
+    started = threading.Event()
+
+    def run():
+        async def main():
+            await server.start()
+            started.set()
+            await server.serve_forever()
+
+        asyncio.run(main())
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    assert started.wait(10), "server failed to start"
+    yield server.url
+    ServeClient(server.url).shutdown()
+    thread.join(10)
+    assert not thread.is_alive(), "the server never stopped"
+
+
+def short_run(url, **overrides) -> LoadgenConfig:
+    return config(url=url, duration_s=1.0, rate=8.0, workers=4,
+                  wait_timeout=60.0, **overrides)
+
+
+class TestRunAgainstOneServer:
+    def test_every_arrival_completes_with_the_engine_fingerprints(self, server_url):
+        report = run_loadgen(short_run(server_url, duplicate_ratio=0.5))
+        assert report["kind"] == "loadgen_report"
+        assert report["scheduled"] > 0
+        assert report["completed"] == report["ok"] == report["scheduled"]
+        assert report["errors"] == 0
+        assert report["fingerprint_conflicts"] == 0
+        assert report["deduped"] + report["cache_hits"] > 0
+        board = virtex_board("XCV1000")
+        direct = {
+            result.fingerprint
+            for result in MappingEngine(jobs=1).run([
+                MappingJob(board=board, design=design, solver="bnb-pure")
+                for design in (fir_filter_design(), matrix_multiply_design())
+            ])
+        }
+        assert 1 <= report["unique_cache_keys"] <= 2
+        assert set(report["fingerprints"].values()) <= direct
+        assert [job["index"] for job in report["jobs"]] == list(
+            range(report["scheduled"])
+        )
+
+    def test_fast_arrivals_are_served_under_their_own_keys(self, server_url):
+        report = run_loadgen(
+            short_run(server_url, duplicate_ratio=0.0, fast_ratio=0.5)
+        )
+        assert report["errors"] == 0 and report["fingerprint_conflicts"] == 0
+        modes = {job["mode"] for job in report["jobs"]}
+        assert modes == {"fast", "pipeline"}
+        keys = {(job["mode"], job["cache_key"]) for job in report["jobs"]}
+        assert len({key for _, key in keys}) == len(keys)
+
+    def test_refused_submissions_are_counted_as_errors(self, server_url):
+        refused = [replace(entry, solver="definitely-not-registered")
+                   for entry in templates()]
+        report = run_loadgen(short_run(server_url, templates=refused))
+        assert report["scheduled"] > 0
+        assert report["errors"] == report["scheduled"]
+        assert report["completed"] == 0
+        assert all(job["outcome"] == "error" for job in report["jobs"])
+
+
+def test_unreachable_server_counts_every_arrival_as_an_error():
+    report = run_loadgen(
+        replace(short_run("http://127.0.0.1:1"), connect_timeout=0.5)
+    )
+    assert report["scheduled"] > 0
+    assert report["errors"] == report["scheduled"]
+    assert report["fingerprints"] == {}

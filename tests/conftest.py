@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.arch import BankType, Board, hierarchical_board, virtex_board
-from repro.design import ConflictSet, DataStructure, Design
+from repro.design import ConflictSet, DataStructure, Design, fir_filter_design
 
 
 @pytest.fixture
@@ -86,3 +86,38 @@ def default_board() -> Board:
 @pytest.fixture
 def virtex_only_board() -> Board:
     return virtex_board(device="XCV300", num_srams=2)
+
+
+@pytest.fixture
+def dying_worker(monkeypatch, tmp_path):
+    """Make engine workers run ``worker_faults.dying_payload``; returns a job builder.
+
+    ``jobs(die=True, always=False)`` gives two distinct jobs: with ``die``
+    the first kills its worker once (every time with ``always``), while
+    the second naps long enough to be in flight when it does.  Pools must
+    fork, so that the workers inherit the patch.
+    """
+    import repro.engine.engine as engine_module
+    from repro.engine import MappingJob
+    from worker_faults import dying_payload
+
+    monkeypatch.setattr(engine_module, "execute_payload", dying_payload)
+
+    def jobs(die=True, always=False):
+        return [
+            MappingJob(
+                board=virtex_board("XCV1000"), design=fir_filter_design(),
+                solver="bnb-pure", label=f"job-{index}",
+                # ``n`` keeps the payloads distinct, so the jobs are not
+                # coalesced and genuinely run on the pool.
+                solver_options={
+                    "die_once": str(tmp_path / "died") if die and index == 0 else "",
+                    "die_always": die and always and index == 0,
+                    "nap": 0.0 if index == 0 else 0.5,
+                    "n": index,
+                },
+            )
+            for index in range(2)
+        ]
+
+    return jobs

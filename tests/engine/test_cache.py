@@ -227,7 +227,7 @@ class TestEviction:
 
 
 class TestMultiProcessWriters:
-    """The serve tier's replicas share one cache directory: every
+    """``repro serve`` and ``repro batch`` share one cache directory: every
     combination of concurrent put/get/trim/clear on the same key space
     must stay exception-free and leave only well-formed entries behind.
     """

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import time
-
 import pytest
 
 from repro.arch import flex10k_board, hierarchical_board, virtex_board
@@ -180,13 +177,46 @@ class TestExecutePayload:
         assert document["status"] == STATUS_OK
         assert len(calls) == 1  # the solve's model also reports the size
 
-    @pytest.mark.parametrize("mode", ["pipeline", "fast"])
-    def test_model_size_matches_a_fresh_build(self, mode):
+    def test_fast_lane_answer_builds_no_model(self, monkeypatch):
+        from repro.core.global_mapper import GlobalMapper
+
+        calls = []
+        build_model = GlobalMapper.build_model
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return build_model(self, *args, **kwargs)
+
+        monkeypatch.setattr(GlobalMapper, "build_model", counting)
+        job = MappingJob(board=virtex_board("XCV1000"), design=fft_design(),
+                         mode="fast")
+        document = execute_payload(job.to_payload())
+        assert document["status"] == STATUS_OK
+        assert document["solve_stats"]["backend"] == "fast-heuristic"
+        assert calls == []
+        assert document["model_size"] == {}
+
+    def test_model_size_matches_a_fresh_build(self):
         board, design = virtex_board("XCV1000"), fft_design()
         document = execute_payload(
-            MappingJob(board=board, design=design, mode=mode).to_payload()
+            MappingJob(board=board, design=design).to_payload()
         )
         model = MemoryMapper(board).global_mapper.build_model(design).model
+        assert document["model_size"] == {
+            "variables": model.num_variables,
+            "constraints": model.num_constraints,
+        }
+
+    @pytest.mark.parametrize(
+        "design", [fir_filter_design, matrix_multiply_design, image_pipeline_design]
+    )
+    def test_exact_model_size_of_each_design_matches_a_fresh_build(self, design):
+        board = hierarchical_board()
+        document = execute_payload(
+            MappingJob(board=board, design=design(), solver="bnb-pure").to_payload()
+        )
+        assert document["status"] == STATUS_OK
+        model = MemoryMapper(board).global_mapper.build_model(design()).model
         assert document["model_size"] == {
             "variables": model.num_variables,
             "constraints": model.num_constraints,
@@ -333,76 +363,32 @@ class TestPersistentPool:
         assert [r.fingerprint for r in pooled] == [r.fingerprint for r in plain]
 
 
-def _dying_payload(payload):
-    """Kill the worker (every time, or once per marker file), else nap."""
-    options = payload["solver_options"]
-    marker = options.get("die_once", "")
-    if options.get("die_always") or (marker and not os.path.exists(marker)):
-        if marker:
-            open(marker, "w").close()
-        os._exit(1)
-    time.sleep(options.get("nap", 0.0))
-    return {"status": STATUS_OK, "wall_time": 0.0, "result": None}
-
-
 class TestDeadWorker:
     """A worker that dies breaks its pool; the engine must not stay broken."""
 
-    def jobs(self, tmp_path, die=True, always=False):
-        """Two distinct jobs; with ``die`` the first kills its worker once
-        (every time with ``always``), while the second naps long enough to
-        be in flight when it does."""
-        return [
-            MappingJob(
-                board=virtex_board("XCV1000"), design=fir_filter_design(),
-                solver="bnb-pure", label=f"job-{index}",
-                # ``n`` keeps the payloads distinct, so the jobs are not
-                # coalesced and genuinely run on the pool.
-                solver_options={
-                    "die_once": str(tmp_path / "died") if die and index == 0 else "",
-                    "die_always": die and always and index == 0,
-                    "nap": 0.0 if index == 0 else 0.5,
-                    "n": index,
-                },
-            )
-            for index in range(2)
-        ]
-
-    def test_retry_runs_on_a_fresh_pool(self, monkeypatch, tmp_path):
-        import repro.engine.engine as engine_module
-
-        monkeypatch.setattr(engine_module, "execute_payload", _dying_payload)
-        results = MappingEngine(jobs=2, retries=1).run(self.jobs(tmp_path))
+    def test_retry_runs_on_a_fresh_pool(self, dying_worker):
+        results = MappingEngine(jobs=2, retries=1).run(dying_worker())
         assert [r.status for r in results] == [STATUS_OK, STATUS_OK]
 
-    def test_only_the_job_that_dies_is_charged(self, monkeypatch, tmp_path):
+    def test_only_the_job_that_dies_is_charged(self, dying_worker):
         # The healthy job is in flight when its sibling kills the shared
         # pool; it is re-run alone, not reported as an error.
-        import repro.engine.engine as engine_module
-
-        monkeypatch.setattr(engine_module, "execute_payload", _dying_payload)
-        results = MappingEngine(jobs=2, retries=0).run(self.jobs(tmp_path, always=True))
+        results = MappingEngine(jobs=2, retries=0).run(dying_worker(always=True))
         assert [r.status for r in results] == [STATUS_ERROR, STATUS_OK]
         assert "BrokenProcessPool" in results[0].error
         assert [r.attempts for r in results] == [1, 1]
 
-    def test_a_job_that_dies_once_is_not_charged(self, monkeypatch, tmp_path):
-        import repro.engine.engine as engine_module
-
-        monkeypatch.setattr(engine_module, "execute_payload", _dying_payload)
-        results = MappingEngine(jobs=2, retries=0).run(self.jobs(tmp_path))
+    def test_a_job_that_dies_once_is_not_charged(self, dying_worker):
+        results = MappingEngine(jobs=2, retries=0).run(dying_worker())
         assert [r.status for r in results] == [STATUS_OK, STATUS_OK]
 
-    def test_persistent_pool_recovers_for_the_next_run(self, monkeypatch, tmp_path):
-        import repro.engine.engine as engine_module
-
-        monkeypatch.setattr(engine_module, "execute_payload", _dying_payload)
+    def test_persistent_pool_recovers_for_the_next_run(self, dying_worker):
         engine = MappingEngine(jobs=2)
         with engine.persistent_pool():
-            broken = engine.run(self.jobs(tmp_path, always=True))
+            broken = engine.run(dying_worker(always=True))
             assert [r.status for r in broken] == [STATUS_ERROR, STATUS_OK]
             # These jobs never die; they fail only if the dead pool is
             # still in use.
             for _ in range(2):
-                again = engine.run(self.jobs(tmp_path, die=False))
+                again = engine.run(dying_worker(die=False))
                 assert [r.status for r in again] == [STATUS_OK, STATUS_OK]

@@ -209,12 +209,10 @@ class TestJobStatusSchema:
             result_status="ok",
             objective=1.5,
             fingerprint="f" * 64,
-            replica="replica-2",
             error="",
         )
         rebuilt = JobStatus.from_wire(status.to_wire())
         assert rebuilt == status
-        assert rebuilt.replica == "replica-2"
 
     def test_gap_round_trips_and_defaults_to_none(self):
         status = JobStatus(
@@ -261,23 +259,17 @@ class TestHealthReportSchema:
     def test_round_trips_through_wire(self):
         report = HealthReport(
             status="ok",
-            role="router",
+            role="service",
             uptime_seconds=12.5,
             queue_depth=3,
             inflight=2,
             workers=4,
             counters={"submitted": 10, "completed": 8},
-            store=None,
-            details={"ring": ["replica-1", "replica-2"]},
-            replicas=[{"name": "replica-1", "healthy": True}],
+            store={"memory_entries": 2},
+            details={"max_batch": 4},
         )
         rebuilt = HealthReport.from_wire(report.to_wire())
         assert rebuilt == report
-
-    def test_service_report_has_no_replicas_key(self):
-        document = HealthReport(role="service").to_wire()
-        assert "replicas" not in document
-        assert HealthReport.from_wire(document).replicas is None
 
     def test_unknown_fields_are_preserved_in_extra(self):
         document = HealthReport().to_wire()

@@ -1,4 +1,4 @@
-"""Unit tests of the serving job queue: priorities and cancellation."""
+"""Unit tests of the serving job queue: priorities, cancellation and batching."""
 
 from __future__ import annotations
 
@@ -138,3 +138,49 @@ def test_batcher_rejects_bad_max_batch(max_batch):
 
     with pytest.raises(ValueError):
         MappingService(max_batch=max_batch)
+
+
+def collect(queue: JobQueue, limit: int):
+    return asyncio.run(asyncio.wait_for(queue.get_batch(limit), timeout=5.0))
+
+
+class TestGetBatch:
+    """Backlog batching: ``get_batch`` ships what is queued, capped and in order."""
+
+    def test_everything_already_queued_ships_as_one_batch(self):
+        queue = JobQueue()
+        for name in ["a", "b", "c"]:
+            queue.put(ticket(name))
+        batch = collect(queue, limit=8)
+        assert [t.job_id for t in batch] == ["a", "b", "c"]
+
+    def test_max_batch_caps_one_collection(self):
+        queue = JobQueue()
+        for index in range(5):
+            queue.put(ticket(f"t{index}"))
+        assert len(collect(queue, limit=2)) == 2
+        assert len(collect(queue, limit=2)) == 2
+        assert len(collect(queue, limit=2)) == 1
+
+    def test_batch_preserves_priority_order(self):
+        queue = JobQueue()
+        queue.put(ticket("low", priority=0))
+        queue.put(ticket("high", priority=9))
+        batch = collect(queue, limit=4)
+        assert [t.job_id for t in batch] == ["high", "low"]
+
+    def test_waits_for_the_first_ticket(self):
+        async def scenario():
+            queue = JobQueue()
+
+            async def feed():
+                await asyncio.sleep(0.02)
+                queue.put(ticket("first"))
+
+            feeder = asyncio.ensure_future(feed())
+            batch = await asyncio.wait_for(queue.get_batch(4), timeout=2.0)
+            await feeder
+            return batch
+
+        batch = asyncio.run(scenario())
+        assert [t.job_id for t in batch] == ["first"]

@@ -267,3 +267,23 @@ class TestClientErrors:
     def test_bad_url_is_rejected(self):
         with pytest.raises(ServeClientError):
             ServeClient("ftp://example.com")
+
+    def test_conflict_carries_the_servers_code_and_job(self, live_server):
+        client = ServeClient(live_server.url)
+        status = client.submit(submission())
+        client.wait(status.job_id, timeout=60)
+        with pytest.raises(ServeClientError) as err:
+            client.cancel(status.job_id)
+        assert (err.value.status, err.value.code) == (409, "NOT_CANCELLABLE")
+        assert err.value.payload["kind"] == "error"
+        assert err.value.payload["job"]["job_id"] == status.job_id
+        assert err.value.payload["job"]["state"] == "done"
+
+    def test_refused_submission_carries_bad_request(self, live_server):
+        client = ServeClient(live_server.url)
+        with pytest.raises(ServeClientError) as err:
+            client.submit([submission(), submission(solver="definitely-not-registered")])
+        assert (err.value.status, err.value.code) == (400, "BAD_REQUEST")
+        assert "definitely-not-registered" in str(err.value)
+        # The batch was refused whole: nothing of it was admitted.
+        assert client.health().counters["submitted"] == 0

@@ -360,6 +360,60 @@ class TestHealthAndArtifact:
         assert len(service._records) <= 4
 
 
+class TestDeadWorker:
+    """A pool worker dying mid-batch must strand no accepted job."""
+
+    def test_every_job_ends_and_the_next_submission_is_served(self, dying_worker):
+        prepared = {"dying": dying_worker(always=True), "healthy": dying_worker(die=False)}
+
+        async def scenario(service):
+            # The prepared jobs carry options no submission may set, so
+            # each submission's label names the job it stands for.
+            def build(entry):
+                kind, index = entry.label.split("/")
+                return prepared[kind][int(index)]
+
+            service._build_job = build
+            dying = [service.submit(submission(label=f"dying/{i}")) for i in (0, 1, 0, 1)]
+            assert [s.deduped for s in dying] == [False, False, True, True]
+            dying = [await wait_done(service, s.job_id) for s in dying]
+            healthy = [service.submit(submission(label=f"healthy/{i}")) for i in (0, 1)]
+            healthy = [await wait_done(service, s.job_id) for s in healthy]
+            return dying, healthy
+
+        dying, healthy = with_service(
+            scenario, jobs=2, retries=1, mp_context="fork"
+        )
+        assert [s.state for s in dying] == ["done"] * 4
+        assert [s.result_status for s in dying] == ["error", "ok", "error", "ok"]
+        assert [s.result_status for s in healthy] == ["ok", "ok"]
+
+    def test_a_worker_that_dies_once_is_retried_to_ok(self, dying_worker):
+        prepared = dying_worker()
+
+        async def scenario(service):
+            service._build_job = lambda entry: prepared[int(entry.label)]
+            statuses = [service.submit(submission(label=f"{i}")) for i in (0, 1, 0)]
+            return [await wait_done(service, s.job_id) for s in statuses]
+
+        finals = with_service(scenario, jobs=2, retries=1, mp_context="fork")
+        assert [s.state for s in finals] == ["done"] * 3
+        assert [s.result_status for s in finals] == ["ok"] * 3
+        assert finals[2].deduped
+
+    def test_without_retries_only_the_dying_ticket_errors(self, dying_worker):
+        prepared = dying_worker(always=True)
+
+        async def scenario(service):
+            service._build_job = lambda entry: prepared[int(entry.label)]
+            statuses = [service.submit(submission(label=f"{i}")) for i in (0, 1)]
+            return [await wait_done(service, s.job_id) for s in statuses]
+
+        finals = with_service(scenario, jobs=2, retries=0, mp_context="fork")
+        assert [s.state for s in finals] == ["done", "done"]
+        assert [s.result_status for s in finals] == ["error", "ok"]
+
+
 class _GatedEngine(MappingEngine):
     """The in-process engine, holding each batch until ``release`` is set."""
 

@@ -273,6 +273,26 @@ class TestServeCommandUsage:
         assert main(["serve", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--max-inflight", "16"],
+            ["serve", "--shed-priority", "0"],
+            ["serve", "--instance-name", "r0"],
+            ["loadgen", "--low-priority-ratio", "0.1"],
+            ["table3", "--cold-retries"],
+            ["table3", "--no-presolve"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_sharded_tier_and_legacy_flags_are_unknown(self, argv, capsys):
+        # One serving process and one Table 3 solve path: the fleet and
+        # legacy-solver flags are argparse usage errors, exit code 2.
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
     def test_bad_memory_entries_is_a_usage_error(self, capsys):
         assert main(["serve", "--memory-entries", "0"]) == 2
         assert "memory-entries" in capsys.readouterr().err
