@@ -17,7 +17,9 @@ Two modes:
     ``explore`` artifacts of the same grid, solver and warm-chain setting
     must carry the same fingerprint, and two ``explore`` or two
     ``table3`` artifacts must agree on every shared label's objective,
-    with or without ``--fail-over``.
+    with or without ``--fail-over``.  Two ``table3`` artifacts of the same
+    labels, retry count and presolve setting must also agree on the
+    presolve totals (rows dropped, columns fixed).
 
 Examples::
 
@@ -57,6 +59,11 @@ LP_KERNEL_KEYS = ("total_pivots", "total_etas_applied",
 #: counts and the gap contract — not wall time.
 HEURISTICS_KEYS = ("gap_limit", "total_exact_nodes", "num_fast_certified",
                    "all_gaps_ok")
+
+#: Table 3 presolve totals: deterministic and independent of the LP
+#: kernel, so runs of the same points with the same retries agree on them.
+PRESOLVE_TOTALS = ("total_presolve_rows_dropped", "total_presolve_cols_fixed")
+
 
 def load_artifact(path: Path) -> Dict[str, Any]:
     if not path.exists():
@@ -264,6 +271,20 @@ def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
         print(f"\nFAIL: objectives differ on {len(objective_mismatches)} "
               f"shared point(s): {objective_mismatches[:10]}")
         return 1
+
+    if baseline.get("name") == candidate.get("name") == "table3" \
+            and set(base_rows) == set(cand_rows) \
+            and baseline.get("total_retries") == candidate.get("total_retries") \
+            and baseline.get("presolve", True) == candidate.get("presolve", True):
+        # Artifacts that predate the always-on presolve record ``presolve``.
+        drifted = [key for key in PRESOLVE_TOTALS
+                   if key in baseline and key in candidate
+                   and baseline[key] != candidate[key]]
+        if drifted:
+            print(f"\nFAIL: same points and retries but presolve totals differ: "
+                  + ", ".join(f"{key} {baseline[key]} -> {candidate[key]}"
+                              for key in drifted))
+            return 1
 
     if baseline.get("name") == candidate.get("name") == "explore" and all(
             baseline.get(key) == candidate.get(key) for key in EXPLORE_INPUTS):

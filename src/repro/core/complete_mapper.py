@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..arch.board import Board
 from ..design.design import Design
-from ..ilp import Model, Variable, create_solver, quicksum
+from ..ilp import EQ, LE, Constraint, LinExpr, Model, Variable, create_solver, quicksum
 from .mapping import GlobalMapping, MappingError
 from .objective import CostModel, CostWeights
 from .preprocess import Preprocessor
@@ -163,19 +163,25 @@ class CompleteMapper:
             if len(row) > 1:
                 model.add_sos1(row, name=f"sos[{ds.name}]")
 
+        # The rows below are written coefficient by coefficient.  A ``-0.0``
+        # right-hand side is what the comparison spelling (``ports == cp *
+        # z``, ``users <= configs``) computes, ``-(0 - 0)``;
+        # ``tests/core/test_model_bytes.py`` pins the standard form's bytes.
+
         # ------------------------------------------- port-consumption linking
         for (ds_name, type_name), z_var in z_vars.items():
             d_index = design.index_of(ds_name)
             t_index = self.board.type_index(type_name)
             bank = self.board.bank_types[t_index]
             cp = int(preprocessor.cp[d_index, t_index])
-            ports = [
-                x_vars[(ds_name, type_name, instance, port)]
+            coeffs = {
+                x_vars[(ds_name, type_name, instance, port)].index: 1.0
                 for instance in range(bank.num_instances)
                 for port in range(bank.num_ports)
-            ]
+            }
+            coeffs[z_var.index] = -float(cp)
             model.add_constraint(
-                quicksum(ports) == cp * z_var,
+                Constraint(LinExpr(coeffs), EQ, -0.0),
                 name=f"consume[{ds_name}|{type_name}]",
             )
 
@@ -183,29 +189,30 @@ class CompleteMapper:
         for t_index, bank in enumerate(self.board.bank_types):
             for instance in range(bank.num_instances):
                 for port in range(bank.num_ports):
-                    users = [
-                        x_vars[(ds.name, bank.name, instance, port)]
+                    users = {
+                        x_vars[(ds.name, bank.name, instance, port)].index: 1.0
                         for ds in design.data_structures
                         if (ds.name, bank.name, instance, port) in x_vars
-                    ]
+                    }
                     if not users:
                         continue
                     if bank.is_multi_config:
                         configs = [
-                            y_vars[(bank.name, instance, port, config)]
+                            y_vars[(bank.name, instance, port, config)].index
                             for config in range(bank.num_configs)
                         ]
                         model.add_constraint(
-                            quicksum(configs) <= 1,
+                            Constraint(LinExpr(dict.fromkeys(configs, 1.0)), LE, 1.0),
                             name=f"onecfg[{bank.name}|{instance}|{port}]",
                         )
+                        users.update(dict.fromkeys(configs, -1.0))
                         model.add_constraint(
-                            quicksum(users) <= quicksum(configs),
+                            Constraint(LinExpr(users), LE, -0.0),
                             name=f"cfgsel[{bank.name}|{instance}|{port}]",
                         )
                     else:
                         model.add_constraint(
-                            quicksum(users) <= 1,
+                            Constraint(LinExpr(users), LE, 1.0),
                             name=f"excl[{bank.name}|{instance}|{port}]",
                         )
 
@@ -213,19 +220,17 @@ class CompleteMapper:
         footprint = preprocessor.consumed_bits_table()
         for t_index, bank in enumerate(self.board.bank_types):
             for instance in range(bank.num_instances):
-                terms = []
+                charges: Dict[int, float] = {}
                 for d_index, ds in enumerate(design.data_structures):
                     if (ds.name, bank.name) not in z_vars:
                         continue
                     cp = max(1, int(preprocessor.cp[d_index, t_index]))
                     share = float(footprint[d_index, t_index]) / cp
                     for port in range(bank.num_ports):
-                        terms.append(
-                            share * x_vars[(ds.name, bank.name, instance, port)]
-                        )
-                if terms:
+                        charges[x_vars[(ds.name, bank.name, instance, port)].index] = share
+                if charges:
                     model.add_constraint(
-                        quicksum(terms) <= bank.capacity_bits,
+                        Constraint(LinExpr(charges), LE, float(bank.capacity_bits)),
                         name=f"cap[{bank.name}|{instance}]",
                     )
 

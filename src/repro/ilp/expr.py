@@ -113,7 +113,7 @@ class Variable:
     # -- conversion ---------------------------------------------------------
     def to_expr(self) -> "LinExpr":
         """Return a fresh single-term linear expression ``1.0 * self``."""
-        return LinExpr({self.index: 1.0}, 0.0, _names={self.index: self.name})
+        return LinExpr({self.index: 1.0})
 
     # -- arithmetic (delegates to LinExpr) ----------------------------------
     def __add__(self, other):
@@ -147,35 +147,25 @@ class Variable:
 class LinExpr:
     """An affine expression ``sum_i coeff_i * x_i + constant``.
 
-    The expression stores coefficients keyed by variable *index*.  Variable
-    names are carried along (best effort) purely for pretty-printing; they
-    play no role in solving.
+    The expression stores coefficients keyed by variable *index*; it prints
+    variable ``i`` as ``x{i}``.
     """
 
-    __slots__ = ("coeffs", "constant", "_names")
+    __slots__ = ("coeffs", "constant")
 
     def __init__(
         self,
         coeffs: Optional[Mapping[int, float]] = None,
         constant: float = 0.0,
-        _names: Optional[Dict[int, str]] = None,
     ) -> None:
         self.coeffs: Dict[int, float] = dict(coeffs) if coeffs else {}
         self.constant = float(constant)
-        self._names: Dict[int, str] = dict(_names) if _names else {}
 
     # -- constructors --------------------------------------------------------
     def copy(self) -> "LinExpr":
-        return LinExpr(self.coeffs, self.constant, _names=self._names)
+        return LinExpr(self.coeffs, self.constant)
 
     # -- helpers ---------------------------------------------------------------
-    def _merge_names(self, other: "LinExpr") -> Dict[int, str]:
-        if not other._names:
-            return dict(self._names)
-        names = dict(self._names)
-        names.update(other._names)
-        return names
-
     @staticmethod
     def _coerce(value) -> "LinExpr":
         if isinstance(value, LinExpr):
@@ -194,7 +184,7 @@ class LinExpr:
         coeffs = dict(self.coeffs)
         for idx, coeff in other.coeffs.items():
             coeffs[idx] = coeffs.get(idx, 0.0) + coeff
-        return LinExpr(coeffs, self.constant + other.constant, self._merge_names(other))
+        return LinExpr(coeffs, self.constant + other.constant)
 
     def __radd__(self, other) -> "LinExpr":
         # Supports ``sum(...)`` which starts from the integer 0.
@@ -205,7 +195,7 @@ class LinExpr:
         coeffs = dict(self.coeffs)
         for idx, coeff in other.coeffs.items():
             coeffs[idx] = coeffs.get(idx, 0.0) - coeff
-        return LinExpr(coeffs, self.constant - other.constant, self._merge_names(other))
+        return LinExpr(coeffs, self.constant - other.constant)
 
     def __rsub__(self, other) -> "LinExpr":
         return self._coerce(other).__sub__(self)
@@ -222,7 +212,7 @@ class LinExpr:
             raise NonLinearError(f"cannot multiply expression by {type(other).__name__}")
         factor = float(other)
         coeffs = {idx: coeff * factor for idx, coeff in self.coeffs.items()}
-        return LinExpr(coeffs, self.constant * factor, dict(self._names))
+        return LinExpr(coeffs, self.constant * factor)
 
     def __rmul__(self, other) -> "LinExpr":
         return self.__mul__(other)
@@ -270,8 +260,7 @@ class LinExpr:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = []
         for idx in sorted(self.coeffs):
-            name = self._names.get(idx, f"x{idx}")
-            parts.append(f"{self.coeffs[idx]:+g}*{name}")
+            parts.append(f"{self.coeffs[idx]:+g}*x{idx}")
         if self.constant or not parts:
             parts.append(f"{self.constant:+g}")
         return "LinExpr(" + " ".join(parts) + ")"
@@ -333,16 +322,13 @@ def quicksum(terms: Iterable) -> LinExpr:
     formulation whose constraints can contain tens of thousands of terms.
     """
     coeffs: Dict[int, float] = {}
-    names: Dict[int, str] = {}
     constant = 0.0
     for term in terms:
         if isinstance(term, Variable):
             coeffs[term.index] = coeffs.get(term.index, 0.0) + 1.0
-            names[term.index] = term.name
         elif isinstance(term, LinExpr):
             for idx, coeff in term.coeffs.items():
                 coeffs[idx] = coeffs.get(idx, 0.0) + coeff
-            names.update(term._names)
             constant += term.constant
         elif _is_number(term):
             constant += float(term)
@@ -350,4 +336,4 @@ def quicksum(terms: Iterable) -> LinExpr:
             raise NonLinearError(
                 f"cannot sum object of type {type(term).__name__} into a LinExpr"
             )
-    return LinExpr(coeffs, constant, _names=names)
+    return LinExpr(coeffs, constant)

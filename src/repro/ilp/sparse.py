@@ -18,7 +18,7 @@ build their own copy from the CSR arrays, once per matrix.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,14 +163,6 @@ class CsrMatrix:
         """``(column indices, values)`` of row ``i`` (views, do not mutate)."""
         lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
         return self.indices[lo:hi], self.data[lo:hi]
-
-    def rows_as_dicts(self) -> List[Dict[int, float]]:
-        """Per-row ``{column: coefficient}`` mappings (presolve working set)."""
-        out: List[Dict[int, float]] = []
-        for i in range(self.num_rows):
-            cols, vals = self.row_entries(i)
-            out.append({int(c): float(v) for c, v in zip(cols, vals)})
-        return out
 
     def toarray(self) -> np.ndarray:
         """Dense materialisation (cached; treat the result as read-only)."""

@@ -1,5 +1,5 @@
 """``scripts/bench_compare.py`` gates explore runs on their fingerprint
-and Table 3 runs on their objectives.
+and Table 3 runs on their objectives and presolve totals.
 
 An explore fingerprint hashes every point's mapping, so two runs of the
 same grid, solver and warm-chain setting must agree on it even where
@@ -90,3 +90,41 @@ class TestTable3ObjectiveGate:
         assert bench_compare.compare(table3, fresh, fail_over=None) == 0
         assert bench_compare.compare(fresh, table3, fail_over=None) == 0
         assert "warm_retries" not in capsys.readouterr().out
+
+
+class TestTable3PresolveGate:
+    """Presolve totals are deterministic: the same points and retries agree."""
+
+    @pytest.mark.parametrize("key", ["total_presolve_rows_dropped",
+                                     "total_presolve_cols_fixed"])
+    @pytest.mark.parametrize("fail_over", [None, 300.0])
+    def test_a_moved_presolve_total_fails(self, table3, key, fail_over, capsys):
+        moved = copy.deepcopy(table3)
+        moved["solver"] = "bnb"
+        moved[key] += 1
+        assert bench_compare.compare(table3, moved, fail_over=fail_over) == 1
+        assert key in capsys.readouterr().out
+
+    def test_equal_totals_on_another_lp_kernel_pass(self, table3):
+        fresh = copy.deepcopy(table3)
+        fresh["solver"] = "bnb"
+        del fresh["presolve"]
+        assert bench_compare.compare(table3, fresh, fail_over=None) == 0
+
+    def test_runs_of_other_points_or_retries_are_not_compared(self, table3):
+        subset = copy.deepcopy(table3)
+        subset["results"] = subset["results"][:4]
+        subset["num_points"] = 4
+        subset["total_presolve_rows_dropped"] = 7
+        assert bench_compare.compare(table3, subset, fail_over=None) == 0
+        retried = copy.deepcopy(table3)
+        retried["total_retries"] += 2
+        retried["total_presolve_cols_fixed"] += 2
+        assert bench_compare.compare(table3, retried, fail_over=None) == 0
+
+    def test_a_run_without_presolve_is_not_compared(self, table3):
+        # The committed legacy artifact was solved with presolve off.
+        legacy = _artifact("BENCH_table3_legacy.json")
+        assert legacy["presolve"] is False
+        assert legacy["total_presolve_rows_dropped"] == 0
+        assert bench_compare.compare(legacy, table3, fail_over=None) == 0

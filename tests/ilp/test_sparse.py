@@ -61,14 +61,6 @@ class TestOperations:
         assert cols.tolist() == [1, 3]
         assert vals.tolist() == [3.5, 1.0]
 
-    def test_rows_as_dicts(self):
-        sparse, _ = example_matrix()
-        assert sparse.rows_as_dicts() == [
-            {0: 1.0, 2: -2.0},
-            {},
-            {1: 3.5, 3: 1.0},
-        ]
-
     def test_toarray_is_cached(self):
         sparse, _ = example_matrix()
         assert sparse.toarray() is sparse.toarray()
